@@ -2,12 +2,11 @@
 //! committed `BENCH_*.json` files and reports per-check verdicts.
 //!
 //! The gate only compares quantities that are *host- and
-//! scale-independent ratios* (scheduler speedup, batched-vs-scalar trial
-//! throughput, sampler speedup, cache speedup, wire-vs-JSON replay
-//! speedup and compression, dedup efficiency normalized by client
-//! count) plus four hard invariants (cross-thread determinism, engine
-//! results invariant under the batch toggle, byte-identical cache
-//! replay, exact wire-to-JSON transcode).
+//! scale-independent ratios* (engine-vs-scalar trial throughput, sampler
+//! speedup, cache speedup, wire-vs-JSON replay speedup and compression,
+//! dedup efficiency normalized by client count) plus three hard
+//! invariants (cross-thread determinism, byte-identical cache replay,
+//! exact wire-to-JSON transcode).
 //! Absolute throughputs (trials/sec, req/sec) vary with the CI host and
 //! are recorded in the snapshots but never gated on.
 //!
@@ -198,12 +197,8 @@ pub fn gate_snapshots(committed: &Snapshots, fresh: &Snapshots, tolerance: f64) 
     let mut errors = Vec::new();
 
     // Hard invariants on the fresh run: determinism and exact replay.
-    if let Some(det) = boolean(
-        &fresh.runner,
-        "deterministic_across_threads_and_schedulers",
-        &mut errors,
-    ) {
-        report.invariant("runner determinism across threads/schedulers", det);
+    if let Some(det) = boolean(&fresh.runner, "deterministic_across_threads", &mut errors) {
+        report.invariant("runner determinism across threads", det);
     }
     if let Some(identical) = boolean(
         &fresh.server,
@@ -211,22 +206,6 @@ pub fn gate_snapshots(committed: &Snapshots, fresh: &Snapshots, tolerance: f64) 
         &mut errors,
     ) {
         report.invariant("cache replays byte-identical bodies", identical);
-    }
-
-    if let Some(identical) = boolean(
-        &fresh.runner,
-        "trial_throughput.batch_toggle_identical",
-        &mut errors,
-    ) {
-        report.invariant("engine results invariant under batch toggle", identical);
-    }
-
-    // Scheduler: work-stealing vs contiguous-chunk makespan ratio.
-    if let (Some(c), Some(f)) = (
-        num(&committed.runner, "scheduler.speedup", &mut errors),
-        num(&fresh.runner, "scheduler.speedup", &mut errors),
-    ) {
-        report.ratio_check("runner scheduler speedup", c, f, tolerance);
     }
 
     // Trial throughput: phase-engine-vs-step-exact speedup on the E1
@@ -316,12 +295,11 @@ pub fn gate_snapshots(committed: &Snapshots, fresh: &Snapshots, tolerance: f64) 
 mod tests {
     use super::*;
 
-    fn snapshots(scheduler_speedup: f64, sampler_speedup: f64, cache_speedup: f64) -> Snapshots {
-        let runner = Json::parse(&format!(
-            r#"{{"deterministic_across_threads_and_schedulers": true,
-                 "trial_throughput": {{"speedup": 2.0, "batch_toggle_identical": true}},
-                 "scheduler": {{"speedup": {scheduler_speedup}}}}}"#
-        ))
+    fn snapshots(sampler_speedup: f64, cache_speedup: f64) -> Snapshots {
+        let runner = Json::parse(
+            r#"{"deterministic_across_threads": true,
+                "trial_throughput": {"speedup": 2.0}}"#,
+        )
         .unwrap();
         let sampler = Json::parse(&format!(
             r#"{{"per_alpha": [
@@ -347,8 +325,8 @@ mod tests {
 
     #[test]
     fn identical_snapshots_pass() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let fresh = snapshots(2.5, 9.0, 60.0);
+        let committed = snapshots(9.0, 60.0);
+        let fresh = snapshots(9.0, 60.0);
         let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
         assert!(report.passed(), "report:\n{}", report.render());
         assert!(report.render().contains("PASS"));
@@ -356,15 +334,15 @@ mod tests {
 
     #[test]
     fn small_noise_within_tolerance_passes() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let fresh = snapshots(2.0, 7.5, 45.0); // 20-25% down, under 30%
+        let committed = snapshots(9.0, 60.0);
+        let fresh = snapshots(7.5, 45.0); // 20-25% down, under 30%
         assert!(gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE).passed());
     }
 
     #[test]
     fn injected_synthetic_regression_fails() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let fresh = snapshots(2.5, 9.0, 30.0); // cache speedup halved
+        let committed = snapshots(9.0, 60.0);
+        let fresh = snapshots(9.0, 30.0); // cache speedup halved
         let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
         assert!(!report.passed());
         let rendered = report.render();
@@ -377,18 +355,18 @@ mod tests {
 
     #[test]
     fn improvements_never_fail() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let fresh = snapshots(5.0, 20.0, 120.0);
+        let committed = snapshots(9.0, 60.0);
+        let fresh = snapshots(20.0, 120.0);
         assert!(gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE).passed());
     }
 
     #[test]
     fn broken_determinism_is_a_hard_failure() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
+        let committed = snapshots(9.0, 60.0);
+        let mut fresh = snapshots(9.0, 60.0);
         fresh.runner = Json::parse(
-            r#"{"deterministic_across_threads_and_schedulers": false,
-                "scheduler": {"speedup": 99.0}}"#,
+            r#"{"deterministic_across_threads": false,
+                "trial_throughput": {"speedup": 99.0}}"#,
         )
         .unwrap();
         let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
@@ -398,12 +376,11 @@ mod tests {
 
     #[test]
     fn trial_throughput_regression_fails() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
+        let committed = snapshots(9.0, 60.0);
+        let mut fresh = snapshots(9.0, 60.0);
         fresh.runner = Json::parse(
-            r#"{"deterministic_across_threads_and_schedulers": true,
-                "trial_throughput": {"speedup": 0.5, "batch_toggle_identical": true},
-                "scheduler": {"speedup": 2.5}}"#,
+            r#"{"deterministic_across_threads": true,
+                "trial_throughput": {"speedup": 0.5}}"#,
         )
         .unwrap();
         let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
@@ -414,26 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn batch_toggle_mismatch_is_a_hard_failure() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
-        fresh.runner = Json::parse(
-            r#"{"deterministic_across_threads_and_schedulers": true,
-                "trial_throughput": {"speedup": 99.0, "batch_toggle_identical": false},
-                "scheduler": {"speedup": 2.5}}"#,
-        )
-        .unwrap();
-        let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
-        assert!(!report.passed());
-        assert!(report
-            .render()
-            .contains("FAIL  engine results invariant under batch toggle"));
-    }
-
-    #[test]
     fn missing_fields_are_structural_errors() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
+        let committed = snapshots(9.0, 60.0);
+        let mut fresh = snapshots(9.0, 60.0);
         fresh.server = Json::parse(r#"{"workload": {}}"#).unwrap();
         let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
         assert!(!report.passed());
@@ -443,9 +403,9 @@ mod tests {
 
     #[test]
     fn wire_regression_and_transcode_mismatch_fail() {
-        let committed = snapshots(2.5, 9.0, 60.0);
+        let committed = snapshots(9.0, 60.0);
         // Wire replay speedup halved: a >30% ratio regression.
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
+        let mut fresh = snapshots(9.0, 60.0);
         fresh.server = Json::parse(
             r#"{"workload": {"trials_per_query": 300},
                 "cached": {"bodies_byte_identical_to_cold": true},
@@ -459,7 +419,7 @@ mod tests {
         assert!(report.render().contains("FAIL  server wire speedup"));
 
         // A lossy transcode is a hard failure regardless of ratios.
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
+        let mut fresh = snapshots(9.0, 60.0);
         fresh.server = Json::parse(
             r#"{"workload": {"trials_per_query": 300},
                 "cached": {"bodies_byte_identical_to_cold": true},
@@ -477,8 +437,8 @@ mod tests {
 
     #[test]
     fn mismatched_server_workloads_refuse_to_compare() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 25.0);
+        let committed = snapshots(9.0, 60.0);
+        let mut fresh = snapshots(9.0, 25.0);
         if let Json::Obj(pairs) = &mut fresh.server {
             for (k, v) in pairs.iter_mut() {
                 if k == "workload" {

@@ -11,15 +11,9 @@
 //!   on an E1 α-sweep (α ∈ {2.2, 2.5, 2.8}, E1 per-cell trial weights);
 //! * **raw sampling** — jump-length draws, hybrid table vs pure Devroye.
 //!
-//! The runner comparison (work-stealing vs the seed contiguous-chunk
-//! scheduler) replays the *measured per-trial costs* through both
-//! schedules for an 8-worker machine: wall-clock times each trial once,
-//! then computes each schedule's makespan deterministically. This keeps
-//! the snapshot honest on throttled single-core CI hosts, where spawning
-//! 8 real threads would measure the container, not the scheduler; the
-//! schedules replayed are exactly the ones `levy_sim::run_trials`
-//! (shrinking stolen blocks) and `levy_sim::chunked::run_trials` (one
-//! contiguous chunk per worker) execute.
+//! Multi-thread scaling of the runner is not measured here; the
+//! repository benchmark (`benchmark/`, `levy_sim.scaling_2t`) times it on
+//! real threads.
 //!
 //! Workload sizes come from a [`Profile`]:
 //!
@@ -35,19 +29,11 @@ use std::time::Instant;
 
 use levy_grid::Point;
 use levy_rng::{JumpLengthDistribution, SeedStream};
-use levy_sim::{chunked, run_trials, Json};
+use levy_sim::{run_trials, Json};
 use levy_walks::{
-    batch_enabled, levy_walk_hitting_time, levy_walk_hitting_time_exact,
-    parallel_hitting_time_common, set_batch_enabled,
+    levy_walk_hitting_time, levy_walk_hitting_time_exact, parallel_hitting_time_common,
 };
 use rand::rngs::SmallRng;
-
-/// Worker count the schedule replay models (the acceptance workload).
-const THREADS: usize = 8;
-
-/// Mirror of the runner's block-claim parameters; keep in sync with
-/// `levy-sim/src/runner.rs` (`MAX_BLOCK`, guided divisor `4 · threads`).
-const MAX_BLOCK: u64 = 1024;
 
 /// Workload sizing for one snapshot run.
 #[derive(Debug, Clone)]
@@ -129,39 +115,6 @@ impl Profile {
     }
 }
 
-/// Makespan of the seed scheduler: contiguous chunks, one per worker.
-fn chunked_makespan(costs: &[f64], threads: usize) -> f64 {
-    let trials = costs.len();
-    let chunk = trials.div_ceil(threads);
-    costs
-        .chunks(chunk.max(1))
-        .map(|c| c.iter().sum::<f64>())
-        .fold(0.0f64, f64::max)
-}
-
-/// Makespan of the work-stealing scheduler: the idle worker (smallest
-/// clock) claims the next shrinking block, exactly as `claim_block` does.
-fn stealing_makespan(costs: &[f64], threads: usize) -> f64 {
-    let trials = costs.len() as u64;
-    let mut clocks = vec![0.0f64; threads];
-    let mut next: u64 = 0;
-    while next < trials {
-        let worker = clocks
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(w, _)| w)
-            .expect("at least one worker");
-        let remaining = trials - next;
-        let block = (remaining / (4 * threads as u64)).clamp(1, MAX_BLOCK);
-        for i in next..(next + block).min(trials) {
-            clocks[worker] += costs[i as usize];
-        }
-        next += block;
-    }
-    clocks.into_iter().fold(0.0f64, f64::max)
-}
-
 /// Times `f` once per rep, returning best-of-reps seconds (and the last
 /// checksum, to keep the work observable).
 fn best_of<F: FnMut() -> u64>(reps: u32, mut f: F) -> f64 {
@@ -174,8 +127,9 @@ fn best_of<F: FnMut() -> u64>(reps: u32, mut f: F) -> f64 {
     best
 }
 
-/// Runner snapshot: E1-style trial costs replayed through both
-/// schedulers, plus the cross-thread determinism check.
+/// Runner snapshot: E1-style single-walk and k-parallel throughput, the
+/// phase engine against the step-exact walk, and the cross-thread
+/// determinism check.
 pub fn runner_snapshot(profile: &Profile) -> Json {
     let alpha = 2.5;
     let jumps = JumpLengthDistribution::new(alpha).expect("valid alpha");
@@ -186,17 +140,13 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     let budget = |ell: u64| (4.0 * (ell as f64).powf(alpha - 1.0)).ceil() as u64;
     let trial_ell = |i: u64| ells[(i / per_ell) as usize % ells.len()];
 
-    // Single-walk hitting: wall-clock each trial once (single-threaded,
-    // fixed seeds). The per-trial costs feed the schedule replay; trials
-    // are grouped by ℓ exactly as a sweep enumerates them, which is the
-    // ordering that starves the contiguous scheduler.
-    let mut costs: Vec<f64> = Vec::with_capacity(trials as usize);
+    // Single-walk hitting, single-threaded at fixed seeds; trials are
+    // grouped by ℓ exactly as a sweep enumerates them.
     let mut hits = 0u64;
     let wall = Instant::now();
     for i in 0..trials {
         let ell = trial_ell(i);
         let mut rng = seeds.child(i).rng();
-        let t = Instant::now();
         let hit = levy_walk_hitting_time(
             &jumps,
             Point::ORIGIN,
@@ -204,7 +154,6 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
             budget(ell),
             &mut rng,
         );
-        costs.push(t.elapsed().as_secs_f64());
         hits += u64::from(hit.is_some());
     }
     let single_walk_secs = wall.elapsed().as_secs_f64();
@@ -227,15 +176,12 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         outcomes.iter().filter(|o| o.is_some()).count() as u64
     });
 
-    // Batched-vs-scalar trial throughput on the E1 α-sweep (α ∈ {2.2,
-    // 2.5, 2.8}, per-cell trials weighted ∝ ℓ^{3−α} as E1 weights them).
+    // Engine-vs-scalar trial throughput on the E1 α-sweep (α ∈ {2.2, 2.5,
+    // 2.8}, per-cell trials weighted ∝ ℓ^{3−α} as E1 weights them).
     // `scalar` is `levy_walk_hitting_time_exact`, the step-level walk the
     // phase engine is validated against for distribution equality;
-    // `batched` is the phase engine in its default configuration (one
-    // block-sampled draw plus an O(1) corridor check per phase). A third
-    // pass re-runs the engine with the prefetch toggle flipped and pins
-    // byte-identical results — the invariant the gate enforces alongside
-    // the throughput ratio.
+    // `engine` is the phase engine (one draw plus an O(1) corridor check
+    // per phase).
     let tp_alphas = [2.2f64, 2.5, 2.8];
     let tp_ells: [u64; 5] = [16, 32, 64, 128, 256];
     let tp_base = profile.throughput_base;
@@ -272,20 +218,14 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         }
         best
     };
-    let (mut scalar_hits, mut batched_hits) = (Vec::new(), Vec::new());
+    let (mut scalar_hits, mut engine_hits) = (Vec::new(), Vec::new());
     let scalar_secs = time_sweep(levy_walk_hitting_time_exact, &mut scalar_hits);
-    let batched_secs = time_sweep(levy_walk_hitting_time, &mut batched_hits);
-    let mut toggled_hits = Vec::new();
-    let was_batched = batch_enabled();
-    set_batch_enabled(!was_batched);
-    sweep(levy_walk_hitting_time, &mut toggled_hits);
-    set_batch_enabled(was_batched);
-    let batch_toggle_identical = toggled_hits == batched_hits;
-    let tp_trials = batched_hits.len() as u64;
-    let batch_speedup = scalar_secs / batched_secs.max(1e-12);
+    let engine_secs = time_sweep(levy_walk_hitting_time, &mut engine_hits);
+    let tp_trials = engine_hits.len() as u64;
+    let engine_speedup = scalar_secs / engine_secs.max(1e-12);
 
-    // Determinism: identical results for 1/3/16 threads and for the seed
-    // chunked scheduler (timing differs; bits must not).
+    // Determinism: identical results for 1/3/16 threads (timing differs;
+    // bits must not).
     let run_with = |threads: usize| {
         run_trials(trials, seeds, threads, |i, rng| {
             let ell = trial_ell(i);
@@ -299,37 +239,18 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         })
     };
     let r1 = run_with(1);
-    let deterministic = [3usize, 16].into_iter().all(|t| run_with(t) == r1)
-        && chunked::run_trials(trials, seeds, THREADS, |i, rng| {
-            let ell = trial_ell(i);
-            levy_walk_hitting_time(
-                &jumps,
-                Point::ORIGIN,
-                Point::new(ell as i64, 0),
-                budget(ell),
-                rng,
-            )
-        }) == r1;
-
-    // Schedule replay on the measured costs.
-    let chunked_span = chunked_makespan(&costs, THREADS);
-    let stealing_span = stealing_makespan(&costs, THREADS);
-    let speedup = chunked_span / stealing_span.max(1e-12);
-    let total_cost: f64 = costs.iter().sum();
+    let deterministic = [3usize, 16].into_iter().all(|t| run_with(t) == r1);
 
     println!("runner: {trials} trials (E1 sweep, alpha {alpha}), {hits} hits");
+    println!("runner: deterministic across threads = {deterministic}");
     println!(
-        "runner: chunked makespan {chunked_span:.4}s vs stealing {stealing_span:.4}s on {THREADS} modeled workers -> {speedup:.2}x"
-    );
-    println!("runner: deterministic across threads/schedulers = {deterministic}");
-    println!(
-        "runner: trial throughput scalar {:.0}/s vs batched {:.0}/s over {tp_trials} trials -> {batch_speedup:.2}x, toggle-invariant = {batch_toggle_identical}",
+        "runner: trial throughput scalar {:.0}/s vs engine {:.0}/s over {tp_trials} trials -> {engine_speedup:.2}x",
         tp_trials as f64 / scalar_secs.max(1e-12),
-        tp_trials as f64 / batched_secs.max(1e-12),
+        tp_trials as f64 / engine_secs.max(1e-12),
     );
 
     Json::obj([
-        ("schema", Json::from("levy-bench/runner-v1")),
+        ("schema", Json::from("levy-bench/runner-v2")),
         ("profile", Json::from(profile.name)),
         ("workload", Json::obj([
             ("experiment_style", Json::from("E1 hit-probability sweep, batched as one trial queue")),
@@ -340,10 +261,6 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
             ("budget_rule", Json::from("ceil(4 * ell^(alpha-1))")),
             ("seed", Json::from("SeedStream::new(0x00E12021)")),
         ])),
-        ("modeled_workers", Json::from(THREADS as u64)),
-        ("method", Json::from(
-            "per-trial wall-clock costs replayed through both schedules (container is single-core; schedules are exactly those of levy_sim::run_trials and levy_sim::chunked::run_trials)",
-        )),
         ("single_walk", Json::obj([
             ("trials", Json::from(trials)),
             ("hits", Json::from(hits)),
@@ -360,7 +277,7 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         ("trial_throughput", Json::obj([
             ("workload", Json::from("E1 alpha-sweep, single thread: per-cell trials = max(base*ell^(3-alpha)/8, base)")),
             ("scalar", Json::from("levy_walk_hitting_time_exact (step-level walk)")),
-            ("batched", Json::from("phase engine: block-sampled draws, corridor early-rejection")),
+            ("engine", Json::from("phase engine: per-phase draws, corridor early-rejection")),
             ("alphas", Json::arr(tp_alphas.iter().map(|&a| Json::from(a)))),
             ("ells", Json::arr(tp_ells.iter().map(|&e| Json::from(e)))),
             ("budget_rule", Json::from("ceil(4 * ell^1.5)")),
@@ -369,20 +286,12 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
             ("reps_best_of", Json::from(profile.sampler_reps.max(1) as u64)),
             ("seed", Json::from("SeedStream::new(0xBA7C2021)")),
             ("scalar_secs", Json::from(scalar_secs)),
-            ("batched_secs", Json::from(batched_secs)),
+            ("engine_secs", Json::from(engine_secs)),
             ("scalar_trials_per_sec", Json::from(tp_trials as f64 / scalar_secs.max(1e-12))),
-            ("batched_trials_per_sec", Json::from(tp_trials as f64 / batched_secs.max(1e-12))),
-            ("speedup", Json::from(batch_speedup)),
-            ("batch_toggle_identical", Json::from(batch_toggle_identical)),
+            ("engine_trials_per_sec", Json::from(tp_trials as f64 / engine_secs.max(1e-12))),
+            ("speedup", Json::from(engine_speedup)),
         ])),
-        ("scheduler", Json::obj([
-            ("chunked_makespan_secs", Json::from(chunked_span)),
-            ("stealing_makespan_secs", Json::from(stealing_span)),
-            ("speedup", Json::from(speedup)),
-            ("total_cost_secs", Json::from(total_cost)),
-            ("ideal_makespan_secs", Json::from(total_cost / THREADS as f64)),
-        ])),
-        ("deterministic_across_threads_and_schedulers", Json::from(deterministic)),
+        ("deterministic_across_threads", Json::from(deterministic)),
         ("host_cores", Json::from(
             std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1),
         )),
@@ -714,23 +623,6 @@ pub fn server_snapshot(profile: &Profile) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn makespans_agree_on_uniform_costs_and_diverge_on_skew() {
-        let uniform = vec![1.0; 64];
-        let c = chunked_makespan(&uniform, 8);
-        let s = stealing_makespan(&uniform, 8);
-        assert!((c - 8.0).abs() < 1e-9);
-        assert!(s <= c + 1e-9);
-
-        // All the cost concentrated in one chunk: stealing spreads it.
-        let mut skewed = vec![0.0; 64];
-        for v in skewed.iter_mut().take(8) {
-            *v = 1.0;
-        }
-        assert!((chunked_makespan(&skewed, 8) - 8.0).abs() < 1e-9);
-        assert!(stealing_makespan(&skewed, 8) < 8.0);
-    }
 
     #[test]
     fn profiles_are_ordered_by_scale() {

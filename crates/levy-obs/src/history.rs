@@ -1,20 +1,9 @@
-//! Periodic registry snapshots: a delta-encoded history ring and the
-//! snapshot differ.
+//! Registry snapshots and the snapshot differ.
 //!
 //! A [`Snapshot`] is a flat `series-key → value` sample of a registry at
-//! one instant (see `Registry::sample`). [`HistoryRing`] retains the last
-//! `capacity` snapshots in delta-encoded form: one full base plus, per
-//! retained snapshot, only the series that changed since the previous one.
-//! Counters move every tick but most gauge/histogram series are quiet, so
-//! deltas stay small; when the ring is full the oldest delta folds into
-//! the base, keeping memory fixed.
-//!
-//! [`diff`] is the shared differ: `levyd`'s `/metrics/history` endpoint,
-//! `levyc metrics --watch`, and the exp-binary progress reporter all
+//! one instant (see `Registry::sample`). [`diff`] is the shared differ:
+//! `levyc metrics --watch` and the exp-binary progress reporter both
 //! consume the same `(key, previous, current)` change lists.
-
-use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// One point-in-time sample of a registry.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -59,89 +48,6 @@ pub fn diff(prev: &Snapshot, next: &Snapshot) -> Vec<(String, f64, f64)> {
     out
 }
 
-struct Frame {
-    ts_us: u64,
-    changed: Vec<(String, f64)>,
-}
-
-/// Fixed-capacity, delta-encoded ring of registry snapshots.
-pub struct HistoryRing {
-    capacity: usize,
-    /// State just before the oldest retained frame.
-    base: HashMap<String, f64>,
-    frames: VecDeque<Frame>,
-    /// Current state (base + every frame applied), kept for delta taking.
-    last: Snapshot,
-}
-
-impl HistoryRing {
-    /// A ring retaining at most `capacity` snapshots.
-    pub fn new(capacity: usize) -> HistoryRing {
-        HistoryRing {
-            capacity: capacity.max(1),
-            base: HashMap::new(),
-            frames: VecDeque::new(),
-            last: Snapshot::default(),
-        }
-    }
-
-    /// Number of retained snapshots.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the ring holds no snapshots yet.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// The most recent snapshot, if any.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        if self.frames.is_empty() {
-            None
-        } else {
-            Some(&self.last)
-        }
-    }
-
-    /// Appends one snapshot, evicting the oldest when full.
-    pub fn push(&mut self, snapshot: Snapshot) {
-        let changed: Vec<(String, f64)> = diff(&self.last, &snapshot)
-            .into_iter()
-            .map(|(k, _, v)| (k, v))
-            .collect();
-        self.frames.push_back(Frame {
-            ts_us: snapshot.ts_us,
-            changed,
-        });
-        self.last = snapshot;
-        if self.frames.len() > self.capacity {
-            let oldest = self.frames.pop_front().expect("nonempty");
-            for (k, v) in oldest.changed {
-                self.base.insert(k, v);
-            }
-        }
-    }
-
-    /// Reconstructs every retained snapshot, oldest first.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        let mut cur = self.base.clone();
-        let mut out = Vec::with_capacity(self.frames.len());
-        for frame in &self.frames {
-            for (k, v) in &frame.changed {
-                cur.insert(k.clone(), *v);
-            }
-            let mut values: Vec<(String, f64)> = cur.iter().map(|(k, v)| (k.clone(), *v)).collect();
-            values.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-            out.push(Snapshot {
-                ts_us: frame.ts_us,
-                values,
-            });
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,49 +80,6 @@ mod tests {
             ]
         );
         assert!(diff(&a, &a).is_empty(), "self-diff is empty");
-    }
-
-    #[test]
-    fn ring_reconstructs_exact_snapshots() {
-        let mut ring = HistoryRing::new(10);
-        let snaps = [
-            snap(1, &[("a", 1.0)]),
-            snap(2, &[("a", 2.0), ("b", 7.0)]),
-            snap(3, &[("a", 2.0), ("b", 9.0)]),
-        ];
-        for s in &snaps {
-            ring.push(s.clone());
-        }
-        let got = ring.snapshots();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0], snaps[0]);
-        assert_eq!(got[1], snaps[1]);
-        assert_eq!(got[2], snaps[2]);
-        assert_eq!(ring.latest(), Some(&snaps[2]));
-    }
-
-    #[test]
-    fn eviction_folds_into_base_without_losing_state() {
-        let mut ring = HistoryRing::new(2);
-        ring.push(snap(1, &[("a", 1.0), ("b", 1.0)]));
-        ring.push(snap(2, &[("a", 2.0), ("b", 1.0)]));
-        ring.push(snap(3, &[("a", 2.0), ("b", 5.0)]));
-        assert_eq!(ring.len(), 2);
-        let got = ring.snapshots();
-        // Oldest retained snapshot is ts=2; `b` was set at ts=1 (now in
-        // the base) and must still be visible.
-        assert_eq!(got[0], snap(2, &[("a", 2.0), ("b", 1.0)]));
-        assert_eq!(got[1], snap(3, &[("a", 2.0), ("b", 5.0)]));
-    }
-
-    #[test]
-    fn quiet_series_cost_no_delta_entries() {
-        let mut ring = HistoryRing::new(4);
-        ring.push(snap(1, &[("hot", 1.0), ("quiet", 3.0)]));
-        ring.push(snap(2, &[("hot", 2.0), ("quiet", 3.0)]));
-        ring.push(snap(3, &[("hot", 3.0), ("quiet", 3.0)]));
-        assert_eq!(ring.frames[1].changed, vec![("hot".to_owned(), 2.0)]);
-        assert_eq!(ring.frames[2].changed, vec![("hot".to_owned(), 3.0)]);
     }
 
     #[test]

@@ -23,9 +23,8 @@
 //! - [`sketch`]: the [`P2Quantile`] streaming quantile estimator.
 //! - [`observe`]: the `LEVY_OBSERVE` master switch for walk-level
 //!   observers ([`observers_enabled`]).
-//! - [`history`]: delta-encoded registry snapshot ring ([`HistoryRing`])
-//!   and the snapshot differ shared by `/metrics/history`,
-//!   `levyc metrics --watch`, and progress reporters.
+//! - [`history`]: registry [`Snapshot`]s and the snapshot differ shared by
+//!   `levyc metrics --watch` and progress reporters.
 //! - [`log`]: one structured stderr format (`ts level target msg k=v`)
 //!   shared by every binary.
 //!
@@ -49,7 +48,7 @@ pub mod traces;
 
 pub use events::{Event, EventJournal, EventKind};
 pub use exposition::{merge_expositions, parse_exposition, ParsedFamily, SeriesValue};
-pub use history::{diff, HistoryRing, Snapshot};
+pub use history::{diff, Snapshot};
 pub use log::Level;
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,

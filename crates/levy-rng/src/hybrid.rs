@@ -226,7 +226,7 @@ impl JumpTable {
 
     /// Draws one jump length without recording draw-path tallies; the flag
     /// says whether the alias table resolved it (`false` = the Devroye tail
-    /// fallback did). Batch refills use this and tally in bulk afterwards;
+    /// fallback did). Per-trial phase sources use this and tally in bulk;
     /// the RNG words consumed are identical to [`Self::sample`].
     #[inline]
     pub(crate) fn sample_raw<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, bool) {

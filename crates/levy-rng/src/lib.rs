@@ -10,9 +10,9 @@
 //!   Devroye scheme ([`JumpTable`] head, [`sample_zeta_above`] tail) with
 //!   the pure rejection sampler ([`sample_zeta`]) and a table-inversion
 //!   cross-check ([`ZetaTable`]) retained as baselines;
-//! * [`JumpBatch`] — block-prefetched jump geometry (lengths plus
-//!   destination ring indices) with a per-slot word order identical to
-//!   scalar sampling, the RNG front end of the batched phase engine;
+//! * [`ScalarPhases`] — per-phase jump geometry (length plus destination
+//!   ring index) with per-trial bulk tallying, the RNG front end of the
+//!   phase engine;
 //! * [`ExponentStrategy`] — the exponent-selection rules the paper studies,
 //!   including the headline `α ~ Uniform(2,3)` strategy of Theorem 1.6 and
 //!   the scale-aware optimum of Theorem 1.5 ([`optimal_exponent`]);
@@ -33,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod exponent;
 mod hybrid;
 pub mod obs;
@@ -41,12 +40,12 @@ mod power_law;
 mod seeds;
 mod zeta;
 
-pub use batch::{JumpBatch, ScalarPhases};
 pub use exponent::{ideal_exponent, optimal_exponent, ExponentStrategy};
 pub use hybrid::{cutoff_for, sample_zeta_above, JumpTable, MAX_TABLE_CUTOFF, TARGET_TAIL_MASS};
 pub use obs::flush_draw_stats;
 pub use power_law::{
-    sample_zeta, InvalidExponentError, JumpLengthDistribution, ZetaTable, MAX_JUMP, MIN_EXPONENT,
+    sample_zeta, InvalidExponentError, JumpLengthDistribution, ScalarPhases, ZetaTable, MAX_JUMP,
+    MIN_EXPONENT,
 };
 pub use seeds::{splitmix64, SeedStream};
 pub use zeta::{riemann_zeta, zeta_partial_sum, zeta_tail};

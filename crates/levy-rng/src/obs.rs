@@ -26,7 +26,6 @@ struct Globals {
     devroye_draws: Counter,
     table_builds: Counter,
     cache_evictions: Counter,
-    batch_refills: Counter,
 }
 
 fn globals() -> &'static Globals {
@@ -49,10 +48,6 @@ fn globals() -> &'static Globals {
             cache_evictions: registry.counter(
                 "levy_rng_table_cache_evictions_total",
                 "Interned jump tables evicted from the bounded cache.",
-            ),
-            batch_refills: registry.counter(
-                "levy_rng_batch_refills_total",
-                "Block refills of batched jump-geometry buffers.",
             ),
         }
     })
@@ -113,25 +108,20 @@ pub(crate) fn record_devroye_draw() {
     });
 }
 
-/// Tallies `n` alias-table draws at once. Batch refills use this instead
-/// of `n` thread-local bumps: one shared atomic add per block is cheaper
-/// than the per-draw TLS path it replaces.
+/// Tallies `n` alias-table draws at once. [`crate::ScalarPhases`] flushes
+/// a trial's tally with this instead of `n` thread-local bumps: one shared
+/// atomic add per trial is cheaper than the per-draw TLS path.
 pub(crate) fn record_table_draws(n: u64) {
     if n > 0 {
         globals().table_draws.add(n);
     }
 }
 
-/// Tallies `n` Devroye-resolved draws at once (batched refills).
+/// Tallies `n` Devroye-resolved draws at once (per-trial flushes).
 pub(crate) fn record_devroye_draws(n: u64) {
     if n > 0 {
         globals().devroye_draws.add(n);
     }
-}
-
-/// Tallies one block refill of a [`crate::JumpBatch`].
-pub(crate) fn record_batch_refill() {
-    globals().batch_refills.inc();
 }
 
 /// Tallies one alias-table construction.

@@ -65,7 +65,7 @@ impl PartialEq for JumpLengthDistribution {
     }
 }
 
-/// Which sampler resolved a raw draw (for bulk tallying in batch refills).
+/// Which sampler resolved a raw draw (for bulk tallying in [`ScalarPhases`]).
 ///
 /// Mirrors the tallying of [`JumpLengthDistribution::sample`]: table and
 /// Devroye draws are counted, the untabled zero-coin outcome is not.
@@ -229,8 +229,7 @@ impl JumpLengthDistribution {
 
     /// Draws one jump length without recording any observability tallies,
     /// reporting which sampler resolved it. Consumes exactly the RNG words
-    /// [`Self::sample`] would; block refills ([`crate::JumpBatch`]) use it
-    /// and tally in bulk.
+    /// [`Self::sample`] would; [`ScalarPhases`] uses it and tallies in bulk.
     #[inline]
     pub(crate) fn sample_raw<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, DrawPath) {
         match &self.table {
@@ -266,6 +265,73 @@ impl JumpLengthDistribution {
                 return d;
             }
         }
+    }
+}
+
+/// Per-phase jump geometry for one trial: each phase's length and
+/// destination ring index, drawn word for word as [`sample_truncated`]
+/// (or [`sample`] when uncapped) followed by one bounded-uniform index.
+///
+/// Draw-path tallies accumulate locally and flush to the shared counters
+/// when the source is dropped, once per trial instead of once per draw.
+///
+/// [`sample_truncated`]: JumpLengthDistribution::sample_truncated
+/// [`sample`]: JumpLengthDistribution::sample
+#[derive(Debug)]
+pub struct ScalarPhases {
+    /// Per-α spectrum gate, hoisted to construction (recording never
+    /// consumes RNG words, so the hoist cannot shift the stream).
+    spectrum_on: bool,
+    table_draws: u64,
+    devroye_draws: u64,
+}
+
+impl ScalarPhases {
+    /// Creates a phase source for one trial.
+    #[allow(clippy::new_without_default)] // a trial-scoped source, not a value type
+    pub fn new() -> Self {
+        ScalarPhases {
+            spectrum_on: levy_obs::observers_enabled(),
+            table_draws: 0,
+            devroye_draws: 0,
+        }
+    }
+
+    /// Draws the next phase's `(length, destination index)`: the
+    /// truncated-length rejection loop, then one bounded-uniform index into
+    /// the `4·d` nodes of the ring `R_d` for positive lengths (`0` for a
+    /// zero-length phase).
+    #[inline]
+    pub fn next_phase<R: Rng + ?Sized>(
+        &mut self,
+        law: &JumpLengthDistribution,
+        cap: Option<u64>,
+        rng: &mut R,
+    ) -> (u64, u64) {
+        let cap = cap.unwrap_or(u64::MAX);
+        let d = loop {
+            let (d, path) = law.sample_raw(rng);
+            match path {
+                DrawPath::Table => self.table_draws += 1,
+                DrawPath::Devroye => self.devroye_draws += 1,
+                DrawPath::ZeroCoin => {}
+            }
+            if self.spectrum_on {
+                crate::obs::record_jump_length(law.alpha(), d);
+            }
+            if d <= cap {
+                break d;
+            }
+        };
+        let dir = if d > 0 { rng.gen_range(0..4 * d) } else { 0 };
+        (d, dir)
+    }
+}
+
+impl Drop for ScalarPhases {
+    fn drop(&mut self) {
+        crate::obs::record_table_draws(self.table_draws);
+        crate::obs::record_devroye_draws(self.devroye_draws);
     }
 }
 
@@ -356,6 +422,37 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn scalar_phases_consume_the_per_phase_sampling_words() {
+        // The two-stream discipline rests on this: a phase is exactly the
+        // truncated length draw plus one destination index, so the
+        // geometry stream holds no other words.
+        let tabled = JumpLengthDistribution::new(2.5).unwrap();
+        let untabled = JumpLengthDistribution::new_untabled(2.2).unwrap();
+        for (law, cap) in [
+            (&tabled, None),
+            (&tabled, Some(20)),
+            (&untabled, None),
+            (&untabled, Some(5)),
+        ] {
+            let mut reference_rng = SmallRng::seed_from_u64(42);
+            let mut phases_rng = reference_rng.clone();
+            let mut phases = ScalarPhases::new();
+            for _ in 0..500 {
+                let d = match cap {
+                    Some(cap) => law.sample_truncated(&mut reference_rng, cap),
+                    None => law.sample(&mut reference_rng),
+                };
+                let dir = if d > 0 {
+                    reference_rng.gen_range(0..4 * d)
+                } else {
+                    0
+                };
+                assert_eq!(phases.next_phase(law, cap, &mut phases_rng), (d, dir));
+            }
+        }
+    }
 
     #[test]
     fn rejects_invalid_exponents() {

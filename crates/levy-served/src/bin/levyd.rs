@@ -4,8 +4,8 @@
 //! levyd [--addr HOST:PORT] [--workers N] [--sim-threads N]
 //!       [--queue-capacity N] [--cache-dir DIR] [--mem-capacity N]
 //!       [--disk-capacity N] [--timeout-ms MS] [--read-timeout-ms MS]
-//!       [--trace-capacity N] [--history-interval-ms MS]
-//!       [--events-capacity N] [--observe] [--fault-plan SPEC] [--quiet]
+//!       [--trace-capacity N] [--events-capacity N] [--observe]
+//!       [--fault-plan SPEC] [--quiet]
 //!       [--cluster --peers HOST:PORT,... [--self-addr HOST:PORT]
 //!        [--vnodes N] [--probe-interval-ms MS] [--peek-timeout-ms MS]
 //!        [--replication R] [--cluster-token TOKEN]
@@ -13,11 +13,9 @@
 //! ```
 //!
 //! `--trace-capacity` sizes the tail-sampling ring behind
-//! `GET /v1/traces`; `--history-interval-ms` paces the registry
-//! snapshots behind `GET /metrics/history` (0 disables the ticker);
-//! `--events-capacity` sizes the structured event journal behind
-//! `GET /v1/events` (peer flips, membership, handoff lifecycle,
-//! replica write errors, backpressure; 0 disables recording);
+//! `GET /v1/traces`; `--events-capacity` sizes the structured event
+//! journal behind `GET /v1/events` (peer flips, membership, handoff
+//! lifecycle, replica write errors, backpressure; 0 disables recording);
 //! `--observe` turns on the walk-level telemetry observers (per-α jump
 //! spectra, displacement quantiles, hitting-time histograms) that are
 //! off by default because they multiply registry cardinality.
@@ -60,8 +58,7 @@ use levy_served::signal;
 const USAGE: &str = "usage: levyd [--addr HOST:PORT] [--workers N] [--sim-threads N] \
                      [--queue-capacity N] [--cache-dir DIR] [--mem-capacity N] \
                      [--disk-capacity N] [--timeout-ms MS] [--read-timeout-ms MS] \
-                     [--trace-capacity N] [--history-interval-ms MS] \
-                     [--events-capacity N] [--observe] \
+                     [--trace-capacity N] [--events-capacity N] [--observe] \
                      [--fault-plan SPEC] [--quiet] \
                      [--cluster --peers HOST:PORT,... [--self-addr HOST:PORT] \
                      [--vnodes N] [--probe-interval-ms MS] [--peek-timeout-ms MS] \
@@ -123,11 +120,6 @@ fn parse_args() -> Result<ServerConfig, String> {
                 config.trace_capacity = value("--trace-capacity")?
                     .parse()
                     .map_err(|_| "--trace-capacity must be an integer".to_owned())?;
-            }
-            "--history-interval-ms" => {
-                config.history_interval_ms = value("--history-interval-ms")?
-                    .parse()
-                    .map_err(|_| "--history-interval-ms must be an integer".to_owned())?;
             }
             "--events-capacity" => {
                 config.events_capacity = value("--events-capacity")?

@@ -330,25 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn bodies_are_byte_identical_with_batching_toggled() {
-        // The batched phase engine must be invisible end to end: the same
-        // seeded query serves the same bytes with block sampling on or off.
-        let q = query(
-            r#"{"kind":"parallel","strategy":"uniform","k":6,"ell":10,"budget":2000,
-                "trials":120,"seed":42}"#,
-        );
-        levy_walks::set_batch_enabled(true);
-        let batched = execute(&q, 2, &CancelToken::new())
-            .unwrap()
-            .to_string_pretty();
-        levy_walks::set_batch_enabled(false);
-        let scalar = execute(&q, 2, &CancelToken::new())
-            .unwrap()
-            .to_string_pretty();
-        assert_eq!(scalar, batched, "batching must never perturb a body");
-    }
-
-    #[test]
     fn bodies_are_byte_identical_with_tracing_enabled() {
         let q = query(
             r#"{"kind":"parallel","alpha":2.5,"k":4,"ell":8,"budget":400,

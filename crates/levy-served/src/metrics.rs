@@ -18,7 +18,6 @@ use levy_sim::Json;
 const KNOWN_PATHS: &[&str] = &[
     "/healthz",
     "/metrics",
-    "/metrics/history",
     "/v1/query",
     "/v1/stats",
     "/v1/shutdown",

@@ -210,6 +210,8 @@ fn field_str<'a>(body: &'a Json, key: &str) -> Result<Option<&'a str>, QueryErro
     }
 }
 
+/// Parses a strategy string into an exponent spec. Syntax only: the
+/// range limits live in [`Query::validate`].
 fn parse_exponent_spec(s: &str) -> Result<ExponentSpec, QueryError> {
     if s == "uniform" {
         return Ok(ExponentSpec::Uniform);
@@ -227,16 +229,12 @@ fn parse_exponent_spec(s: &str) -> Result<ExponentSpec, QueryError> {
             hi.parse::<f64>()
                 .map_err(|_| err("invalid uniform upper endpoint"))?,
         );
-        if !(lo.is_finite() && hi.is_finite() && 1.0 < lo && lo < hi) {
-            return Err(err("uniform range must satisfy 1 < lo < hi"));
-        }
         return Ok(ExponentSpec::UniformRange { lo, hi });
     }
     if let Some(alpha) = s.strip_prefix("fixed:") {
         let alpha = alpha
             .parse::<f64>()
             .map_err(|_| err("invalid fixed exponent"))?;
-        validate_alpha(alpha)?;
         return Ok(ExponentSpec::Fixed(alpha));
     }
     Err(err(format!(
@@ -244,19 +242,33 @@ fn parse_exponent_spec(s: &str) -> Result<ExponentSpec, QueryError> {
     )))
 }
 
-fn validate_alpha(alpha: f64) -> Result<(), QueryError> {
-    if !(alpha.is_finite() && alpha > 1.0 && alpha <= 10.0) {
-        return Err(err("alpha must lie in (1, 10]"));
+fn validate_spec(spec: &ExponentSpec) -> Result<(), QueryError> {
+    match spec {
+        ExponentSpec::Fixed(alpha) => {
+            if !(alpha.is_finite() && *alpha > 1.0 && *alpha <= 10.0) {
+                return Err(err("alpha must lie in (1, 10]"));
+            }
+        }
+        ExponentSpec::UniformRange { lo, hi } => {
+            if !(lo.is_finite() && hi.is_finite() && 1.0 < *lo && lo < hi) {
+                return Err(err("uniform range must satisfy 1 < lo < hi"));
+            }
+        }
+        ExponentSpec::Uniform | ExponentSpec::Optimal => {}
     }
     Ok(())
 }
 
 impl Query {
-    /// Validates a parsed JSON body into a query.
+    /// Parses a JSON body into a query, then [`validate`](Query::validate)s
+    /// it.
     ///
-    /// See DESIGN.md §7 for the schema. Unknown fields are rejected so
-    /// that a typo (`"apha"`) fails loudly instead of silently running
-    /// the default.
+    /// Parsing is syntax only: field types, unknown fields, required
+    /// fields, and the alpha-xor-strategy and trials-xor-precision rules.
+    /// Every limit lives in `validate`, which the binary wire decoder
+    /// calls too. See DESIGN.md §7 for the schema. Unknown fields are
+    /// rejected so that a typo (`"apha"`) fails loudly instead of silently
+    /// running the default.
     pub fn from_json(body: &Json) -> Result<Query, QueryError> {
         let Some(pairs) = body.as_object() else {
             return Err(err("request body must be a JSON object"));
@@ -298,13 +310,6 @@ impl Query {
         let seed = field_u64(body, "seed")?.unwrap_or(0);
         let timeout_ms = field_u64(body, "timeout_ms")?;
 
-        if !(1..=MAX_ELL).contains(&ell) {
-            return Err(err(format!("ell must lie in [1, {MAX_ELL}]")));
-        }
-        if !(1..=MAX_BUDGET).contains(&budget) {
-            return Err(err(format!("budget must lie in [1, {MAX_BUDGET}]")));
-        }
-
         // Exponent / strategy resolution per kind.
         let (exponent, search, k) = match kind {
             QueryKind::SingleWalk | QueryKind::SingleFlight => {
@@ -313,12 +318,8 @@ impl Query {
                         "single_walk/single_flight take 'alpha', not 'strategy'",
                     ));
                 }
-                if k.is_some_and(|k| k != 1) {
-                    return Err(err("single_walk/single_flight require k = 1"));
-                }
                 let alpha = alpha.ok_or_else(|| err("missing required field 'alpha'"))?;
-                validate_alpha(alpha)?;
-                (ExponentSpec::Fixed(alpha), None, 1)
+                (ExponentSpec::Fixed(alpha), None, k.unwrap_or(1))
             }
             QueryKind::Parallel => {
                 let k = k.ok_or_else(|| err("missing required field 'k'"))?;
@@ -326,10 +327,7 @@ impl Query {
                     (Some(_), Some(_)) => {
                         return Err(err("provide exactly one of 'alpha' or 'strategy'"))
                     }
-                    (Some(alpha), None) => {
-                        validate_alpha(alpha)?;
-                        ExponentSpec::Fixed(alpha)
-                    }
+                    (Some(alpha), None) => ExponentSpec::Fixed(alpha),
                     (None, Some(s)) => parse_exponent_spec(s)?,
                     (None, None) => return Err(err("parallel queries need 'alpha' or 'strategy'")),
                 };
@@ -341,22 +339,14 @@ impl Query {
                 let search = match family {
                     "ballistic" => SearchSpec::Ballistic,
                     "random_walk" => SearchSpec::RandomWalk,
-                    s if s.starts_with("mixture:") => {
-                        let n = s["mixture:".len()..]
+                    s if s.starts_with("mixture:") => SearchSpec::Mixture(
+                        s["mixture:".len()..]
                             .parse::<u64>()
-                            .map_err(|_| err("invalid mixture palette size"))?;
-                        if !(1..=64).contains(&n) {
-                            return Err(err("mixture palette size must lie in [1, 64]"));
-                        }
-                        SearchSpec::Mixture(n)
+                            .map_err(|_| err("invalid mixture palette size"))?,
+                    ),
+                    "levy" => {
+                        SearchSpec::Levy(alpha.map_or(ExponentSpec::Uniform, ExponentSpec::Fixed))
                     }
-                    "levy" => SearchSpec::Levy(match alpha {
-                        Some(alpha) => {
-                            validate_alpha(alpha)?;
-                            ExponentSpec::Fixed(alpha)
-                        }
-                        None => ExponentSpec::Uniform,
-                    }),
                     s => parse_exponent_spec(s).map(SearchSpec::Levy).map_err(|_| {
                         err(format!(
                             "unknown search strategy '{s}' (expected levy, ballistic, \
@@ -371,9 +361,6 @@ impl Query {
                 (exponent, Some(search), k)
             }
         };
-        if !(1..=MAX_K).contains(&k) {
-            return Err(err(format!("k must lie in [1, {MAX_K}]")));
-        }
 
         let placement = match field_str(body, "placement")? {
             None | Some("random") => TargetPlacement::RandomDirection,
@@ -384,53 +371,28 @@ impl Query {
         // Estimator: fixed trials (default 400) xor adaptive precision.
         let trials = field_u64(body, "trials")?;
         let estimator = match body.get("precision") {
-            None | Some(Json::Null) => {
-                let trials = trials.unwrap_or(400);
-                if trials == 0 {
-                    return Err(err("trials must be at least 1"));
-                }
-                Estimator::Trials(trials)
-            }
+            None | Some(Json::Null) => Estimator::Trials(trials.unwrap_or(400)),
             Some(p) => {
                 if trials.is_some() {
                     return Err(err("provide exactly one of 'trials' or 'precision'"));
                 }
-                if p.as_object().is_none() {
+                let Some(fields) = p.as_object() else {
                     return Err(err("'precision' must be an object"));
-                }
-                for (key, _) in p.as_object().expect("checked") {
+                };
+                for (key, _) in fields {
                     if !["absolute", "relative", "max_trials"].contains(&key.as_str()) {
                         return Err(err(format!("unknown precision field '{key}'")));
                     }
                 }
-                let absolute = field_f64(p, "absolute")?.unwrap_or(0.01);
-                let relative = field_f64(p, "relative")?.unwrap_or(0.10);
-                let max_trials = field_u64(p, "max_trials")?.unwrap_or(1 << 20);
-                if !(absolute > 0.0 && relative >= 0.0 && max_trials >= 1) {
-                    return Err(err(
-                        "precision needs absolute > 0, relative >= 0, max_trials >= 1",
-                    ));
-                }
                 Estimator::Adaptive(Precision {
-                    absolute,
-                    relative,
-                    max_trials,
+                    absolute: field_f64(p, "absolute")?.unwrap_or(0.01),
+                    relative: field_f64(p, "relative")?.unwrap_or(0.10),
+                    max_trials: field_u64(p, "max_trials")?.unwrap_or(1 << 20),
                 })
             }
         };
 
-        let spend = match &estimator {
-            Estimator::Trials(t) => *t,
-            Estimator::Adaptive(p) => p.max_trials,
-        };
-        let cost = spend as u128 * budget as u128 * k as u128;
-        if cost > MAX_REQUEST_COST {
-            return Err(err(format!(
-                "request too large: trials*budget*k = {cost} exceeds {MAX_REQUEST_COST}"
-            )));
-        }
-
-        Ok(Query {
+        let query = Query {
             kind,
             exponent,
             search,
@@ -441,36 +403,25 @@ impl Query {
             estimator,
             seed,
             timeout_ms,
-        })
+        };
+        query.validate()?;
+        Ok(query)
     }
 
-    /// Semantic validation of an already-constructed query — the same
-    /// limits [`from_json`](Query::from_json) enforces while parsing,
-    /// for decoders (the binary wire path) that build the struct
-    /// directly without a JSON intermediate. Keep the two in sync.
+    /// Checks every limit of a query: ranges of ell, budget, k, alpha and
+    /// uniform endpoints, the mixture palette size, the spend (trials or
+    /// precision), the per-kind shape, and the `trials · budget · k` cost
+    /// cap. [`from_json`](Query::from_json) calls it after parsing, and
+    /// decoders that build the struct directly (the binary wire path)
+    /// call it themselves.
     pub fn validate(&self) -> Result<(), QueryError> {
-        fn check_spec(spec: &ExponentSpec) -> Result<(), QueryError> {
-            match spec {
-                ExponentSpec::Fixed(alpha) => validate_alpha(*alpha),
-                ExponentSpec::UniformRange { lo, hi } => {
-                    if !(lo.is_finite() && hi.is_finite() && 1.0 < *lo && lo < hi) {
-                        return Err(err("uniform range must satisfy 1 < lo < hi"));
-                    }
-                    Ok(())
-                }
-                ExponentSpec::Uniform | ExponentSpec::Optimal => Ok(()),
-            }
-        }
         if !(1..=MAX_ELL).contains(&self.ell) {
             return Err(err(format!("ell must lie in [1, {MAX_ELL}]")));
         }
         if !(1..=MAX_BUDGET).contains(&self.budget) {
             return Err(err(format!("budget must lie in [1, {MAX_BUDGET}]")));
         }
-        if !(1..=MAX_K).contains(&self.k) {
-            return Err(err(format!("k must lie in [1, {MAX_K}]")));
-        }
-        check_spec(&self.exponent)?;
+        validate_spec(&self.exponent)?;
         match self.kind {
             QueryKind::SingleWalk | QueryKind::SingleFlight => {
                 if self.k != 1 {
@@ -490,7 +441,7 @@ impl Query {
             }
             QueryKind::Search => match &self.search {
                 None => return Err(err("search queries need a search strategy")),
-                Some(SearchSpec::Levy(spec)) => check_spec(spec)?,
+                Some(SearchSpec::Levy(spec)) => validate_spec(spec)?,
                 Some(SearchSpec::Mixture(n)) => {
                     if !(1..=64).contains(n) {
                         return Err(err("mixture palette size must lie in [1, 64]"));
@@ -498,6 +449,9 @@ impl Query {
                 }
                 Some(SearchSpec::Ballistic | SearchSpec::RandomWalk) => {}
             },
+        }
+        if !(1..=MAX_K).contains(&self.k) {
+            return Err(err(format!("k must lie in [1, {MAX_K}]")));
         }
         let spend = match &self.estimator {
             Estimator::Trials(t) => {

@@ -25,11 +25,11 @@ use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use levy_obs::{
-    Event, EventJournal, EventKind, FinishedTrace, HistoryRing, Snapshot, SpanContext, SpanRecord,
-    TraceId, TraceSpan, TraceStore,
+    Event, EventJournal, EventKind, FinishedTrace, SpanContext, SpanRecord, TraceId, TraceSpan,
+    TraceStore,
 };
 use levy_sim::{BatchProgress, CancelToken, Json};
 use levy_wire::{ErrorFrame, FinalFrame, Frame};
@@ -77,11 +77,6 @@ pub struct ServerConfig {
     /// `GET /v1/traces` (errors and the slowest traces are protected
     /// from eviction; see `levy_obs::TraceStore`).
     pub trace_capacity: usize,
-    /// Registry snapshots retained by the `GET /metrics/history` ring.
-    pub history_capacity: usize,
-    /// Interval between registry snapshots; `0` disables the history
-    /// ticker thread.
-    pub history_interval_ms: u64,
     /// Cluster membership (`levyd --cluster --peers ...`); `None` runs
     /// the classic single-node daemon.
     pub cluster: Option<ClusterConfig>,
@@ -104,8 +99,6 @@ impl Default for ServerConfig {
             faults: None,
             quiet: false,
             trace_capacity: 256,
-            history_capacity: 64,
-            history_interval_ms: 1_000,
             cluster: None,
             events_capacity: 256,
         }
@@ -200,7 +193,6 @@ struct Inner {
     cluster: Option<Cluster>,
     stats: Stats,
     traces: TraceStore,
-    history: Mutex<HistoryRing>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     queue_changed: Condvar,
     inflight: Mutex<HashMap<String, Arc<Job>>>,
@@ -261,25 +253,6 @@ impl Inner {
             }
         }
     }
-
-    /// One timestamped snapshot of this server's registry concatenated
-    /// with the process-global one — the unit the history ring stores.
-    fn sample_metrics(&self) -> Snapshot {
-        let mut values = self.stats.registry().sample();
-        values.extend(levy_obs::Registry::global().sample());
-        values.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        Snapshot {
-            ts_us: unix_us(),
-            values,
-        }
-    }
-}
-
-fn unix_us() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0)
 }
 
 /// A running server; dropping it does *not* stop the daemon — call
@@ -289,7 +262,6 @@ pub struct Server {
     addr: SocketAddr,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
-    history_handle: Option<std::thread::JoinHandle<()>>,
     prober_handle: Option<std::thread::JoinHandle<()>>,
     repl_handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -314,7 +286,6 @@ impl Server {
             .set(i64::try_from(config.queue_capacity).unwrap_or(i64::MAX));
         cache.register_metrics(stats.registry());
         let traces = TraceStore::new(config.trace_capacity);
-        let history = HistoryRing::new(config.history_capacity);
         let cluster = match config.cluster.clone() {
             Some(mut cluster_config) => {
                 // An ephemeral bind (`:0`) resolves to the real port now;
@@ -343,7 +314,6 @@ impl Server {
             cluster,
             stats,
             traces,
-            history: Mutex::new(history),
             queue: Mutex::new(VecDeque::new()),
             queue_changed: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
@@ -359,26 +329,6 @@ impl Server {
             open_connections: AtomicUsize::new(0),
             started: Instant::now(),
         });
-        // Baseline snapshot so `/metrics/history` is non-empty from the
-        // first scrape; the ticker thread appends deltas from here.
-        {
-            let baseline = inner.sample_metrics();
-            inner.history.lock().expect("history lock").push(baseline);
-        }
-        let history_handle = match inner.config.history_interval_ms {
-            0 => None,
-            ms => {
-                let interval = Duration::from_millis(ms);
-                let tick_inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("levyd-history".into())
-                        .spawn(move || history_loop(&tick_inner, interval))
-                        .expect("spawn history ticker"),
-                )
-            }
-        };
-
         if let Some(cluster) = &inner.cluster {
             inner
                 .stats
@@ -432,7 +382,6 @@ impl Server {
             addr,
             accept_handle: Some(accept_handle),
             worker_handles,
-            history_handle,
             prober_handle,
             repl_handle,
         })
@@ -530,9 +479,6 @@ impl Server {
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.history_handle.take() {
-            let _ = handle.join();
-        }
         if let Some(handle) = self.prober_handle.take() {
             let _ = handle.join();
         }
@@ -552,25 +498,6 @@ impl Server {
                 self.inner.stats.simulations_completed.get().to_string(),
             )],
         );
-    }
-}
-
-/// History ticker: pushes one registry snapshot per interval into the
-/// delta-encoded ring behind `GET /metrics/history`. Sleeps in short
-/// slices so shutdown is prompt.
-fn history_loop(inner: &Arc<Inner>, interval: Duration) {
-    while !inner.shutting_down.load(Ordering::Acquire) {
-        let mut slept = Duration::ZERO;
-        while slept < interval && !inner.shutting_down.load(Ordering::Acquire) {
-            let slice = Duration::from_millis(50).min(interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
-        }
-        if inner.shutting_down.load(Ordering::Acquire) {
-            return;
-        }
-        let snapshot = inner.sample_metrics();
-        inner.history.lock().expect("history lock").push(snapshot);
     }
 }
 
@@ -1076,17 +1003,6 @@ fn route(request: &Request, inner: &Arc<Inner>, root: &TraceSpan) -> Response {
                 ]),
             )
         }
-        ("GET", "/metrics/history") => {
-            let snapshots = inner.history.lock().expect("history lock").snapshots();
-            Response::json(
-                200,
-                &Json::obj([
-                    ("schema", Json::from("levy-served/metrics-history-v1")),
-                    ("interval_ms", Json::from(inner.config.history_interval_ms)),
-                    ("snapshots", Json::arr(snapshots.iter().map(snapshot_json))),
-                ]),
-            )
-        }
         ("GET", "/v1/peers") => match &inner.cluster {
             Some(cluster) => Response::json(200, &cluster.peers_json()),
             None => Response::error(404, "not in cluster mode (start levyd with --cluster)"),
@@ -1197,22 +1113,6 @@ fn trace_summary_json(trace: &FinishedTrace) -> Json {
         ("dur_us", Json::from(trace.dur_us)),
         ("status", Json::from(u64::from(trace.status))),
         ("spans", Json::from(trace.spans.len())),
-    ])
-}
-
-/// One history snapshot as JSON.
-fn snapshot_json(snapshot: &Snapshot) -> Json {
-    Json::obj([
-        ("ts_us", Json::from(snapshot.ts_us)),
-        (
-            "values",
-            Json::obj(
-                snapshot
-                    .values
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::from(*v))),
-            ),
-        ),
     ])
 }
 

@@ -34,7 +34,6 @@ fn test_config() -> ServerConfig {
         },
         default_timeout_ms: 60_000,
         quiet: true,
-        history_interval_ms: 50,
         ..ServerConfig::default()
     }
 }
@@ -256,34 +255,6 @@ fn unknown_trace_ids_return_404() {
             .expect("endpoint reachable");
         assert_eq!(response.status, 404, "{bad}");
     }
-    server.shutdown();
-}
-
-#[test]
-fn metrics_history_accumulates_snapshots() {
-    let (server, client) = start(test_config());
-    let _ = client.post("/v1/query", QUERY).expect("query ok");
-    std::thread::sleep(Duration::from_millis(150));
-    let response = client.get("/metrics/history").expect("history ok");
-    assert_eq!(response.status, 200);
-    let body = Json::parse(&response.body_string()).expect("JSON");
-    assert_eq!(
-        body.get("schema").unwrap().as_str(),
-        Some("levy-served/metrics-history-v1")
-    );
-    let snapshots = body.get("snapshots").and_then(Json::as_array).unwrap();
-    assert!(snapshots.len() >= 2, "baseline + at least one tick");
-    let last = snapshots.last().unwrap();
-    assert!(last.get("ts_us").unwrap().as_u64().unwrap() > 0);
-    let values = last.get("values").unwrap();
-    assert!(
-        values
-            .get("levy_served_queries_total")
-            .and_then(Json::as_f64)
-            .unwrap()
-            >= 1.0,
-        "the query shows up in the latest snapshot"
-    );
     server.shutdown();
 }
 

@@ -49,7 +49,7 @@ pub use plot::AsciiPlot;
 pub use progress::ProgressReporter;
 pub use report::{write_json, TextTable};
 pub use runner::{
-    chunked, count_trials, count_trials_offset, count_trials_offset_cancellable, default_threads,
+    count_trials, count_trials_offset, count_trials_offset_cancellable, default_threads,
     run_trials, run_trials_cancellable, CancelToken,
 };
 pub use sweep::{geom_integers, geomspace, linspace, pow2_range};

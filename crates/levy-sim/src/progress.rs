@@ -3,8 +3,8 @@
 //! A [`ProgressReporter`] runs one background thread that periodically
 //! samples the process-global [`levy_obs::Registry`] into a
 //! [`levy_obs::Snapshot`] and diffs consecutive samples with
-//! [`levy_obs::diff`] — the same machinery behind `levyd`'s
-//! `/metrics/history` endpoint and `levyc metrics --watch`. From the
+//! [`levy_obs::diff`] — the same machinery behind
+//! `levyc metrics --watch`. From the
 //! deltas of `levy_sim_trials_completed_total` and
 //! `levy_sim_steal_blocks_total` it prints, to stderr:
 //!

@@ -11,15 +11,9 @@
 //!
 //! Determinism is preserved exactly as before: each trial `i` derives its
 //! RNG from `SeedStream::child(i)` and results are placed by trial index,
-//! so output is bit-identical regardless of thread count or scheduling.
-//! This composes with the batched phase engine in `levy-walks`: its block
-//! buffers live in thread-local arenas that are reused across every trial
-//! a worker runs (no per-trial allocation), and a trial's draws depend
-//! only on its own `child(i)` streams — never on which worker's arena it
-//! happened to run in.
-//!
-//! The previous contiguous-chunk scheduler is kept as [`chunked`] — it is
-//! the baseline that `BENCH_runner.json` compares against.
+//! so output is bit-identical regardless of thread count or scheduling:
+//! a trial's draws depend only on its own `child(i)` streams, never on
+//! which worker ran it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -187,7 +181,7 @@ where
             }
             metrics.trials_completed.add(end - start);
         }
-        // This thread outlives the run, so its batched sampler tallies
+        // This thread outlives the run, so its buffered sampler tallies
         // only reach the registry via an explicit flush.
         levy_rng::flush_draw_stats();
         return Some(out);
@@ -361,62 +355,6 @@ where
     Some(total)
 }
 
-/// The seed scheduler this runner replaced: static contiguous chunking,
-/// one chunk per worker.
-///
-/// Kept (not deprecated) as the measured baseline for the bench snapshot
-/// pipeline — `BENCH_runner.json` records the throughput of
-/// [`run_trials`](crate::run_trials) relative to [`chunked::run_trials`].
-/// Output is bit-identical to the work-stealing runner; only the schedule
-/// differs.
-pub mod chunked {
-    use super::*;
-
-    /// Runs `trials` trials split into `threads` contiguous chunks.
-    ///
-    /// Each worker processes one chunk; the makespan is therefore the cost
-    /// of the most expensive chunk, which under heavy-tailed trial costs
-    /// is far above the mean — exactly the imbalance the work-stealing
-    /// runner removes.
-    pub fn run_trials<T, F>(trials: u64, seeds: SeedStream, threads: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut SmallRng) -> T + Sync,
-    {
-        let threads = threads.max(1).min(trials.max(1) as usize);
-        if threads == 1 {
-            return (0..trials)
-                .map(|i| {
-                    let mut rng = seeds.child(i).rng();
-                    f(i, &mut rng)
-                })
-                .collect();
-        }
-        let chunk = trials.div_ceil(threads as u64);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads as u64 {
-                let start = w * chunk;
-                let end = ((w + 1) * chunk).min(trials);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    (start..end)
-                        .map(|i| {
-                            let mut rng = seeds.child(i).rng();
-                            f(i, &mut rng)
-                        })
-                        .collect::<Vec<T>>()
-                }));
-            }
-            for h in handles {
-                chunks.push(h.join().expect("trial worker panicked"));
-            }
-        });
-        chunks.into_iter().flatten().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -456,14 +394,6 @@ mod tests {
         let c = run_trials(97, SeedStream::new(11), 16, f);
         assert_eq!(a, b);
         assert_eq!(b, c);
-    }
-
-    #[test]
-    fn stealing_matches_chunked_bit_for_bit() {
-        let f = |i: u64, rng: &mut rand::rngs::SmallRng| -> u64 { rng.gen::<u64>() ^ (i << 1) };
-        let stealing = run_trials(513, SeedStream::new(21), 7, f);
-        let legacy = chunked::run_trials(513, SeedStream::new(21), 4, f);
-        assert_eq!(stealing, legacy);
     }
 
     #[test]

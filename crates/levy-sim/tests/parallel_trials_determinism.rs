@@ -1,17 +1,12 @@
 //! End-to-end determinism of walk trials on the multi-threaded runner.
 //!
-//! The batched phase engine keeps its block buffers in thread-local arenas
-//! that workers reuse across trials; these tests pin that arena reuse and
-//! work-stealing scheduling never leak into results: full [`ParallelHit`]
-//! vectors are byte-identical across thread counts, across repeated runs,
-//! and with batching toggled on or off.
+//! Work-stealing scheduling must never leak into results: full
+//! [`ParallelHit`] vectors are byte-identical across thread counts.
 
 use levy_grid::Point;
 use levy_rng::{ExponentStrategy, SeedStream};
 use levy_sim::run_trials;
-use levy_walks::{
-    levy_walk_hitting_time_ball, parallel_hitting_time, set_batch_enabled, ParallelHit,
-};
+use levy_walks::{levy_walk_hitting_time_ball, parallel_hitting_time, ParallelHit};
 
 fn parallel_trials(threads: usize) -> Vec<ParallelHit> {
     run_trials(96, SeedStream::new(0xC0DE), threads, |_, rng| {
@@ -36,15 +31,6 @@ fn parallel_hit_vectors_are_identical_across_thread_counts() {
             "thread count {threads} changed a seeded ParallelHit"
         );
     }
-}
-
-#[test]
-fn batch_toggle_does_not_perturb_runner_output() {
-    set_batch_enabled(true);
-    let batched = parallel_trials(4);
-    set_batch_enabled(false);
-    let scalar = parallel_trials(4);
-    assert_eq!(scalar, batched, "batching must be invisible to results");
 }
 
 #[test]

@@ -1,19 +1,18 @@
-//! The batched phase engine: one generic core behind every hitting-time
+//! The phase engine: one per-phase loop behind every hitting-time
 //! simulation in this crate.
 //!
-//! Three optimizations live here, all exactly distribution-preserving:
+//! A [`Walk`] holds one walk's state and [`Walk::advance`] runs its phases;
+//! single-walk trials call it once for the whole budget, and the lanes of a
+//! lockstep parallel trial call it once per time slice. Two optimizations
+//! live here, both exactly distribution-preserving:
 //!
-//! 1. **Block RNG draws.** Jump geometry (lengths and destination ring
-//!    indices) is prefetched in blocks through [`levy_rng::JumpBatch`] on a
-//!    monomorphized `SmallRng` — no `dyn Rng` in the hot loop, and the
-//!    per-draw tally overhead is amortized over a whole block.
-//! 2. **Corridor early-rejection.** A direct path "closely follows" the
+//! 1. **Corridor early-rejection.** A direct path "closely follows" the
 //!    real segment (Lemma 3.1): node `i` lies within L2 distance `1/√2` of
 //!    the segment point `w_i`. [`levy_grid::direct_path_can_visit`] decides
 //!    *exactly* whether a target is in the support of the marginal at `i`,
 //!    so phases that provably cannot hit skip the marginal draw (and its
 //!    tie-break word) entirely.
-//! 3. **Lockstep `k`-walk advancement.** [`lockstep_parallel`] advances all
+//! 2. **Lockstep `k`-walk advancement.** [`lockstep_parallel`] advances all
 //!    `k` walks of a parallel trial in bounded time slices, so every lane
 //!    stops within one slice of the earliest hit instead of simulating the
 //!    full budget sequentially walk by walk.
@@ -24,152 +23,24 @@
 //! it into two hierarchical streams ([`levy_rng::SeedStream`]): a *geometry*
 //! stream that feeds every jump-length and destination draw, and an
 //! *auxiliary* stream that feeds the data-dependent tie-break draws of
-//! [`levy_grid::direct_path_node_at`]. Because the geometry stream contains
-//! no data-dependent draws, prefetching it in blocks of any size consumes
-//! exactly the words per-phase sampling would ([`levy_rng::JumpBatch`]'s
-//! word-stream equivalence), and likewise skipping a tie-break draw on the
-//! auxiliary stream never shifts a geometry word. Consequence: seeded
-//! results are **byte-identical** with batching on or off (pinned by
-//! tests), and [`lockstep_parallel`] — which gives lane `j` the streams of
-//! `master.child(j)` — is independent of advancement order.
-//!
-//! Toggling: [`set_batch_enabled`] / [`batch_enabled`], or the `LEVY_BATCH`
-//! environment variable. The buffered path is **off by default**: with the
-//! sampler monomorphized and draw tallies already flushed in bulk per trial
-//! ([`levy_rng::ScalarPhases`]), measurement shows the prefetch buffer's
-//! memory traffic costs slightly more than it saves (~0.8–0.9× on the E1
-//! workload), so the buffer is kept as an opt-in — and as the proof, pinned
-//! by byte-identity tests, that the geometry stream really is
-//! prefetch-invariant.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+//! [`levy_grid::direct_path_node_at`]. The geometry stream contains no
+//! data-dependent draws, so skipping a tie-break draw on the auxiliary
+//! stream never shifts a geometry word, and a future block sampler of the
+//! geometry stream would consume exactly the words per-phase sampling
+//! does. [`lockstep_parallel`] gives lane `j` the streams of
+//! `master.child(j)`, so its result is independent of advancement order.
 
 use levy_grid::{
     direct_path_can_enter_ball, direct_path_can_visit, direct_path_node_at, Point, Ring,
 };
-use levy_rng::{JumpBatch, JumpLengthDistribution, ScalarPhases, SeedStream};
+use levy_rng::{JumpLengthDistribution, ScalarPhases, SeedStream};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::observe::TrialObserver;
 
-/// Phases prefetched per block for single-walk trials.
-const BATCH_CAPACITY: usize = 256;
-
-/// Phases prefetched per block per lane in lockstep parallel trials (the
-/// arena holds one batch per lane, so the block is smaller).
-const LANE_BATCH_CAPACITY: usize = 64;
-
 /// Time-slice length (in lattice steps) of the lockstep scheduler.
 const SLICE: u64 = 512;
-
-/// Tri-state batching override: 0 = unset (use the `LEVY_BATCH` default),
-/// 1 = forced off, 2 = forced on.
-static BATCH_STATE: AtomicU8 = AtomicU8::new(0);
-
-fn default_batch_enabled() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("LEVY_BATCH") {
-        Ok(value) => !matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        Err(_) => false,
-    })
-}
-
-/// Forces block-prefetched jump geometry on or off for every subsequent
-/// trial, overriding the `LEVY_BATCH` environment default.
-///
-/// Seeded results are byte-identical either way (the two-stream discipline
-/// in the module docs); the toggle exists for benchmarking the buffer and
-/// for pinning that equivalence in tests.
-pub fn set_batch_enabled(enabled: bool) {
-    BATCH_STATE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether trials currently use block-prefetched jump geometry.
-///
-/// Defaults to `false` (see the module docs for the measurement behind
-/// that) unless the `LEVY_BATCH` environment variable is set to a truthy
-/// value; [`set_batch_enabled`] overrides both.
-pub fn batch_enabled() -> bool {
-    match BATCH_STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => default_batch_enabled(),
-    }
-}
-
-/// Splits one word of the caller's RNG into the trial's geometry and
-/// auxiliary streams (see the module docs).
-fn trial_streams<R: Rng + ?Sized>(rng: &mut R) -> (SmallRng, SmallRng) {
-    let stream = SeedStream::new(rng.gen::<u64>());
-    (stream.child(0).rng(), stream.child(1).rng())
-}
-
-/// Source of per-phase jump geometry. Implementations must consume words
-/// from `geom` in the scalar per-phase order so that they are
-/// interchangeable on a fixed stream.
-trait PhaseDraw {
-    /// Returns the next phase's `(length, destination ring index)`.
-    ///
-    /// `remaining` bounds how many more phases this trial can consume
-    /// (each phase advances the clock by at least one step, so
-    /// `budget − t` is always valid); block implementations size their
-    /// refills by it so no prefetched draw is ever left unused at the end
-    /// of a budget-terminated trial.
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        remaining: u64,
-    ) -> (u64, u64);
-}
-
-/// Per-phase sampling without a prefetch buffer; draw-path tallies flush
-/// in bulk once per trial ([`ScalarPhases`]).
-struct ScalarDraw(ScalarPhases);
-
-impl ScalarDraw {
-    fn new() -> Self {
-        ScalarDraw(ScalarPhases::new())
-    }
-}
-
-impl PhaseDraw for ScalarDraw {
-    #[inline]
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        _remaining: u64,
-    ) -> (u64, u64) {
-        self.0.next_phase(law, cap, geom)
-    }
-}
-
-/// Block-prefetched sampling through a reusable [`JumpBatch`].
-struct BatchedDraw<'a> {
-    batch: &'a mut JumpBatch,
-}
-
-impl PhaseDraw for BatchedDraw<'_> {
-    #[inline]
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        remaining: u64,
-    ) -> (u64, u64) {
-        self.batch.next_phase_bounded(law, cap, geom, remaining)
-    }
-}
 
 /// What a trial is searching for: membership plus an exact per-phase hit
 /// check that consumes tie-break words from the auxiliary stream only.
@@ -277,56 +148,91 @@ impl Target for BallTarget {
     }
 }
 
-/// The generic phase loop shared by every single-walk hitting simulation.
-///
-/// Every phase — including zero-length ones, which advance time by one
-/// step standing still — ends with an observer phase boundary, so batched
-/// and scalar runs emit identical event streams (pinned by tests).
-#[allow(clippy::too_many_arguments)] // private monomorphized core: callers spell out every knob
-fn run_phases<P: PhaseDraw, T: Target>(
-    law: &JumpLengthDistribution,
+/// One walk of a trial: its two RNG streams, position, clock, per-trial
+/// draw tallies and observer.
+struct Walk<'a, T: Target> {
+    law: &'a JumpLengthDistribution,
     cap: Option<u64>,
     target: T,
-    start: Point,
     budget: u64,
-    mut draw: P,
-    geom: &mut SmallRng,
-    aux: &mut SmallRng,
-    observer: &mut Option<TrialObserver>,
-) -> Option<u64> {
-    let mut pos = start;
-    let mut t: u64 = 0;
-    while t < budget {
-        let (d, dir) = draw.next_phase(law, cap, geom, budget - t);
-        if d == 0 {
-            t += 1;
-            if let Some(observer) = observer {
-                observer.on_phase_end(t, pos);
-            }
-            events::emit(events::Event::PhaseEnd(t, pos));
-            continue;
-        }
-        let v = Ring::new(pos, d).node_at(dir);
-        if let Some(hit) = target.hit_in_phase(pos, v, d, t, budget, aux) {
-            if let Some(observer) = observer {
-                observer.on_hit(hit);
-            }
-            events::emit(events::Event::Hit(hit));
-            return Some(hit);
-        }
-        t = t.saturating_add(d);
-        pos = v;
-        if let Some(observer) = observer {
-            observer.on_phase_end(t, pos);
-        }
-        events::emit(events::Event::PhaseEnd(t, pos));
-    }
-    None
+    geom: SmallRng,
+    aux: SmallRng,
+    pos: Point,
+    t: u64,
+    phases: ScalarPhases,
+    observer: Option<TrialObserver>,
 }
 
-/// Runs one single-walk hitting trial: splits the caller's RNG into the
-/// trial's two streams, picks the batched or scalar geometry source, and
-/// drives [`run_phases`].
+impl<'a, T: Target> Walk<'a, T> {
+    /// A walk at `start`, time 0, drawing geometry from `stream.child(0)`
+    /// and tie-breaks from `stream.child(1)`.
+    fn new(
+        law: &'a JumpLengthDistribution,
+        cap: Option<u64>,
+        target: T,
+        start: Point,
+        budget: u64,
+        stream: SeedStream,
+    ) -> Self {
+        Walk {
+            law,
+            cap,
+            target,
+            budget,
+            geom: stream.child(0).rng(),
+            aux: stream.child(1).rng(),
+            pos: start,
+            t: 0,
+            phases: ScalarPhases::new(),
+            observer: TrialObserver::begin(law.alpha(), start),
+        }
+    }
+
+    /// Runs phases until the clock reaches `until` or the walk hits the
+    /// target, returning the hit time.
+    ///
+    /// Every phase — including zero-length ones, which advance time by one
+    /// step standing still — ends with an observer phase boundary. A phase
+    /// that starts before `until` runs to its end, so the clock may pass
+    /// `until`; the hit check always uses the trial's full budget.
+    #[inline]
+    fn advance(&mut self, until: u64) -> Option<u64> {
+        while self.t < until {
+            let (d, dir) = self.phases.next_phase(self.law, self.cap, &mut self.geom);
+            if d == 0 {
+                self.t += 1;
+                self.phase_end();
+                continue;
+            }
+            let v = Ring::new(self.pos, d).node_at(dir);
+            if let Some(hit) =
+                self.target
+                    .hit_in_phase(self.pos, v, d, self.t, self.budget, &mut self.aux)
+            {
+                if let Some(observer) = &self.observer {
+                    observer.on_hit(hit);
+                }
+                events::emit(events::Event::Hit(hit));
+                return Some(hit);
+            }
+            self.t = self.t.saturating_add(d);
+            self.pos = v;
+            self.phase_end();
+        }
+        None
+    }
+
+    #[inline]
+    fn phase_end(&mut self) {
+        if let Some(observer) = &mut self.observer {
+            observer.on_phase_end(self.t, self.pos);
+        }
+        events::emit(events::Event::PhaseEnd(self.t, self.pos));
+    }
+}
+
+/// Runs one single-walk hitting trial: one word of the caller's RNG seeds
+/// the trial's two streams, and the walk advances through the budget.
 pub(crate) fn hitting_time_engine<R: Rng + ?Sized, T: Target>(
     law: &JumpLengthDistribution,
     cap: Option<u64>,
@@ -338,88 +244,8 @@ pub(crate) fn hitting_time_engine<R: Rng + ?Sized, T: Target>(
     if target.contains(start) {
         return Some(0);
     }
-    let (mut geom, mut aux) = trial_streams(rng);
-    let mut observer = TrialObserver::begin(law.alpha(), start);
-    if batch_enabled() {
-        with_walk_arena(|batch| {
-            batch.clear();
-            run_phases(
-                law,
-                cap,
-                target,
-                start,
-                budget,
-                BatchedDraw { batch },
-                &mut geom,
-                &mut aux,
-                &mut observer,
-            )
-        })
-    } else {
-        run_phases(
-            law,
-            cap,
-            target,
-            start,
-            budget,
-            ScalarDraw::new(),
-            &mut geom,
-            &mut aux,
-            &mut observer,
-        )
-    }
-}
-
-thread_local! {
-    /// Reusable single-walk batch buffer: one allocation per thread, not
-    /// per trial, across the millions of trials of a sweep.
-    static WALK_ARENA: Cell<Option<Box<JumpBatch>>> = const { Cell::new(None) };
-
-    /// Reusable per-lane batch buffers for lockstep parallel trials.
-    static LANE_ARENA: Cell<Option<Vec<JumpBatch>>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with this thread's single-walk batch buffer, taking it out of
-/// the arena for the duration (re-entrant calls fall back to a fresh
-/// allocation rather than aliasing).
-fn with_walk_arena<T>(f: impl FnOnce(&mut JumpBatch) -> T) -> T {
-    let mut batch = WALK_ARENA
-        .try_with(|slot| slot.take())
-        .ok()
-        .flatten()
-        .unwrap_or_else(|| Box::new(JumpBatch::with_capacity(BATCH_CAPACITY)));
-    let out = f(&mut batch);
-    let _ = WALK_ARENA.try_with(|slot| slot.set(Some(batch)));
-    out
-}
-
-/// Runs `f` with `k` cleared per-lane batch buffers from this thread's
-/// arena, growing it on demand and returning it afterwards.
-fn with_lane_batches<T>(k: usize, f: impl FnOnce(&mut [JumpBatch]) -> T) -> T {
-    let mut batches = LANE_ARENA
-        .try_with(|slot| slot.take())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    while batches.len() < k {
-        batches.push(JumpBatch::with_capacity(LANE_BATCH_CAPACITY));
-    }
-    for batch in batches.iter_mut().take(k) {
-        batch.clear();
-    }
-    let out = f(&mut batches[..k]);
-    let _ = LANE_ARENA.try_with(|slot| slot.set(Some(batches)));
-    out
-}
-
-/// State of one lane (one walk) of a lockstep parallel trial.
-struct Lane {
-    geom: SmallRng,
-    aux: SmallRng,
-    pos: Point,
-    t: u64,
-    done: bool,
-    observer: Option<TrialObserver>,
+    let stream = SeedStream::new(rng.gen::<u64>());
+    Walk::new(law, cap, target, start, budget, stream).advance(budget)
 }
 
 /// Advances `k` walks (lane `j` drawing from `laws[j]`) in lockstep time
@@ -429,8 +255,8 @@ struct Lane {
 /// (ties broken towards the smallest lane index), but every lane stops
 /// within one slice of the best hit found so far: a lane whose clock has
 /// reached `min(budget, best)` can only hit strictly later than `best`
-/// (its next phase ends at `t + d > best`), so killing it is exact. Lanes
-/// with an equal hit time are never killed early — their hit phase starts
+/// (its next phase ends at `t + d > best`), so retiring it is exact. Lanes
+/// with an equal hit time are never retired early — their hit phase starts
 /// strictly before `best` — so the smallest-index tie-break is exact too.
 ///
 /// Determinism: one master word is drawn from `rng`; lane `j` uses the
@@ -443,104 +269,61 @@ pub(crate) fn lockstep_parallel<R: Rng + ?Sized>(
     budget: u64,
     rng: &mut R,
 ) -> Option<(u64, usize)> {
-    let k = laws.len();
-    if k == 0 {
+    if laws.is_empty() {
         return None;
     }
     if start == target {
         return Some((0, 0));
     }
     let master = SeedStream::new(rng.gen::<u64>());
-    let batched = batch_enabled();
     let point = PointTarget { target };
-    let mut scalars: Vec<ScalarDraw> = if batched {
-        Vec::new()
-    } else {
-        (0..k).map(|_| ScalarDraw::new()).collect()
-    };
-    let mut lanes: Vec<Lane> = (0..k)
-        .map(|j| {
-            let stream = master.child(j as u64);
-            Lane {
-                geom: stream.child(0).rng(),
-                aux: stream.child(1).rng(),
-                pos: start,
-                t: 0,
-                done: false,
-                observer: TrialObserver::begin(laws[j].alpha(), start),
-            }
+    // `None` marks a retired lane (hit, or out of time before the cutoff).
+    let mut lanes: Vec<Option<Walk<PointTarget>>> = laws
+        .iter()
+        .enumerate()
+        .map(|(j, law)| {
+            Some(Walk::new(
+                law,
+                None,
+                point,
+                start,
+                budget,
+                master.child(j as u64),
+            ))
         })
         .collect();
-    with_lane_batches(k, |batches| {
-        let mut best: Option<(u64, usize)> = None;
-        let mut slice_end = SLICE.min(budget);
-        loop {
-            let mut all_done = true;
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if lane.done {
-                    continue;
-                }
-                loop {
-                    let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
-                    if lane.t >= cutoff {
-                        lane.done = true;
-                        break;
-                    }
-                    if lane.t >= slice_end {
-                        break;
-                    }
-                    let (d, dir) = if batched {
-                        batches[j].next_phase_bounded(
-                            laws[j],
-                            None,
-                            &mut lane.geom,
-                            cutoff - lane.t,
-                        )
-                    } else {
-                        scalars[j].next_phase(laws[j], None, &mut lane.geom, cutoff - lane.t)
-                    };
-                    if d == 0 {
-                        lane.t += 1;
-                        if let Some(observer) = &mut lane.observer {
-                            observer.on_phase_end(lane.t, lane.pos);
-                        }
-                        continue;
-                    }
-                    let v = Ring::new(lane.pos, d).node_at(dir);
-                    if let Some(hit) =
-                        point.hit_in_phase(lane.pos, v, d, lane.t, budget, &mut lane.aux)
-                    {
-                        if let Some(observer) = &lane.observer {
-                            observer.on_hit(hit);
-                        }
-                        if best.is_none_or(|(bt, bw)| hit < bt || (hit == bt && j < bw)) {
-                            best = Some((hit, j));
-                        }
-                        lane.done = true;
-                        break;
-                    }
-                    lane.t = lane.t.saturating_add(d);
-                    lane.pos = v;
-                    if let Some(observer) = &mut lane.observer {
-                        observer.on_phase_end(lane.t, lane.pos);
-                    }
-                }
-                if !lane.done {
-                    all_done = false;
-                }
-            }
-            if all_done {
-                break;
-            }
+    let mut best: Option<(u64, usize)> = None;
+    let mut slice_end = SLICE.min(budget);
+    loop {
+        let mut all_retired = true;
+        for (j, slot) in lanes.iter_mut().enumerate() {
+            let Some(lane) = slot else {
+                continue;
+            };
+            // `best` only changes when this lane hits, which ends its turn,
+            // so the cutoff is fixed for the whole turn.
             let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
-            slice_end = slice_end.saturating_add(SLICE).min(cutoff);
+            if let Some(hit) = lane.advance(slice_end.min(cutoff)) {
+                if best.is_none_or(|(bt, bw)| hit < bt || (hit == bt && j < bw)) {
+                    best = Some((hit, j));
+                }
+                *slot = None;
+            } else if lane.t >= cutoff {
+                *slot = None;
+            } else {
+                all_retired = false;
+            }
         }
-        best
-    })
+        if all_retired {
+            return best;
+        }
+        let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
+        slice_end = slice_end.saturating_add(SLICE).min(cutoff);
+    }
 }
 
 /// Test-only capture of the engine's observer-visible event stream, used
-/// to pin that batched and scalar runs report identical phase boundaries.
+/// to pin the phase boundaries a trial reports.
 #[cfg(test)]
 pub(crate) mod events {
     use std::cell::RefCell;
@@ -603,63 +386,8 @@ pub(crate) mod events {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hitting::{
-        levy_walk_hitting_time, levy_walk_hitting_time_ball, levy_walk_hitting_time_capped,
-    };
+    use crate::hitting::levy_walk_hitting_time;
     use rand::SeedableRng;
-
-    fn capture_run(
-        batched: bool,
-        seed: u64,
-        trial: impl Fn(&mut SmallRng) -> Option<u64>,
-    ) -> (Option<u64>, Vec<events::Event>) {
-        set_batch_enabled(batched);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        events::start();
-        let hit = trial(&mut rng);
-        (hit, events::take())
-    }
-
-    #[test]
-    fn batched_and_scalar_emit_identical_observer_event_streams() {
-        // The load-bearing engine invariant: toggling batching changes
-        // neither the result nor any observer-visible phase boundary.
-        let jumps = JumpLengthDistribution::new(2.3).unwrap();
-        for seed in 0..20 {
-            let point = |rng: &mut SmallRng| {
-                levy_walk_hitting_time(&jumps, Point::ORIGIN, Point::new(6, 2), 4_000, rng)
-            };
-            let capped = |rng: &mut SmallRng| {
-                levy_walk_hitting_time_capped(
-                    &jumps,
-                    40,
-                    Point::ORIGIN,
-                    Point::new(6, 2),
-                    4_000,
-                    rng,
-                )
-            };
-            let ball = |rng: &mut SmallRng| {
-                levy_walk_hitting_time_ball(&jumps, Point::ORIGIN, Point::new(12, 0), 2, 4_000, rng)
-            };
-            assert_eq!(
-                capture_run(false, seed, point),
-                capture_run(true, seed, point),
-                "point target, seed {seed}"
-            );
-            assert_eq!(
-                capture_run(false, seed, capped),
-                capture_run(true, seed, capped),
-                "capped target, seed {seed}"
-            );
-            assert_eq!(
-                capture_run(false, seed, ball),
-                capture_run(true, seed, ball),
-                "ball target, seed {seed}"
-            );
-        }
-        set_batch_enabled(false);
-    }
 
     #[test]
     fn zero_length_phases_report_phase_boundaries() {
@@ -696,14 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_is_deterministic_and_batch_invariant() {
+    fn lockstep_is_deterministic() {
         let laws_owned: Vec<JumpLengthDistribution> = [2.1, 2.5, 2.9, 3.2]
             .iter()
             .map(|&alpha| JumpLengthDistribution::new(alpha).unwrap())
             .collect();
         let laws: Vec<&JumpLengthDistribution> = laws_owned.iter().collect();
-        let run = |batched: bool, seed: u64| {
-            set_batch_enabled(batched);
+        let run = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..50)
                 .map(|_| {
@@ -712,11 +439,60 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         for seed in [1u64, 2, 3] {
-            let scalar = run(false, seed);
-            assert_eq!(scalar, run(false, seed), "repeat determinism, seed {seed}");
-            assert_eq!(scalar, run(true, seed), "batch invariance, seed {seed}");
+            assert_eq!(run(seed), run(seed), "repeat determinism, seed {seed}");
         }
-        set_batch_enabled(false);
+    }
+
+    #[test]
+    fn lockstep_equals_the_minimum_of_its_lanes_run_alone() {
+        // Pathwise, not just in distribution: each lane run alone on its
+        // own streams for the full budget, then the earliest hit (smallest
+        // lane on ties), must be exactly what the sliced lockstep returns.
+        // A far target spans many slices; a near one with many lanes makes
+        // equal earliest hit times common, exercising the tie-break.
+        let law_a = JumpLengthDistribution::new(2.2).unwrap();
+        let law_b = JumpLengthDistribution::new(3.0).unwrap();
+        let (far, near) = (Point::new(30, 11), Point::new(2, 1));
+        for (laws, target, budget) in [
+            (vec![&law_a, &law_b, &law_a], far, 6_000),
+            (vec![&law_b; 16], near, 40),
+        ] {
+            let mut rng = SmallRng::seed_from_u64(0x10C5);
+            let (mut hits, mut ties) = (0, 0);
+            for _ in 0..200 {
+                let mut replay = rng.clone();
+                let master = SeedStream::new(replay.gen::<u64>());
+                let alone: Vec<(u64, usize)> = laws
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, law)| {
+                        let point = PointTarget { target };
+                        Walk::new(
+                            law,
+                            None,
+                            point,
+                            Point::ORIGIN,
+                            budget,
+                            master.child(j as u64),
+                        )
+                        .advance(budget)
+                        .map(|hit| (hit, j))
+                    })
+                    .collect();
+                let best = alone.iter().min().copied();
+                let lockstep = lockstep_parallel(&laws, Point::ORIGIN, target, budget, &mut rng);
+                assert_eq!(lockstep, best, "target {target:?}");
+                hits += usize::from(best.is_some());
+                ties +=
+                    usize::from(best.is_some_and(|(t, _)| {
+                        alone.iter().filter(|(hit, _)| *hit == t).count() > 1
+                    }));
+            }
+            assert!(hits > 0 && hits < 200, "a mix of hits and misses: {hits}");
+            if target == near {
+                assert!(ties > 0, "the near target must produce tied hits");
+            }
+        }
     }
 
     #[test]

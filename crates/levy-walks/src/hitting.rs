@@ -12,11 +12,10 @@
 //! step-level reference implementation is kept for cross-validation (see
 //! [`levy_walk_hitting_time_exact`] and the distribution-equality test).
 //!
-//! All walk variants run on the batched phase engine ([`crate::engine`]):
-//! each trial draws one word from the caller's RNG, splits it into a
-//! geometry and an auxiliary stream, block-prefetches jump geometry, and
-//! skips marginal draws for phases the Lemma 3.1 corridor proves cannot
-//! hit. Seeded results are identical with batching on or off.
+//! All walk variants run on the phase engine ([`crate::engine`]): each
+//! trial draws one word from the caller's RNG, splits it into a geometry
+//! and an auxiliary stream, and skips marginal draws for phases the
+//! Lemma 3.1 corridor proves cannot hit.
 
 use levy_grid::Point;
 use levy_rng::JumpLengthDistribution;

@@ -16,10 +16,9 @@
 //!   [`ExponentStrategy`](levy_rng::ExponentStrategy), including the
 //!   paper's randomized `α ~ Uniform(2,3)` strategy (Theorem 1.6).
 //!
-//! Every walk simulation runs on a batched phase engine (block-prefetched
-//! jump geometry, Lemma 3.1 corridor early-rejection, lockstep `k`-walk
-//! advancement) whose seeded results are identical with batching on or off
-//! ([`set_batch_enabled`]).
+//! Every walk hitting-time simulation runs on one phase engine: a single
+//! per-phase loop with Lemma 3.1 corridor early-rejection, shared by
+//! single-walk trials and the lanes of lockstep `k`-walk advancement.
 //!
 //! # Quick example: the paper's randomized strategy
 //!
@@ -56,7 +55,6 @@ mod statistics;
 pub mod theory;
 mod walk;
 
-pub use engine::{batch_enabled, set_batch_enabled};
 pub use flight::{sample_jump, LevyFlight};
 pub use hitting::{
     hitting_time_from_origin, levy_flight_hitting_time, levy_flight_hitting_time_ball,

@@ -8,9 +8,7 @@
 #
 # The snapshot times the four hot paths (single-walk hitting, k-parallel
 # hitting, phase-engine trial throughput, raw jump sampling) at fixed
-# seeds and replays the measured
-# per-trial costs through the work-stealing and contiguous-chunk schedules;
-# see crates/bench/src/bin/bench_snapshot.rs for the methodology.
+# seeds; see crates/bench/src/snapshot.rs for the methodology.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
