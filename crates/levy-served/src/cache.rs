@@ -30,6 +30,8 @@ use std::time::SystemTime;
 use levy_obs::{Counter, Gauge, Registry};
 use levy_sim::Json;
 
+use crate::wirecodec;
+
 /// Filesystem seam for the disk tier.
 ///
 /// The cache never touches `std::fs` directly; it goes through this
@@ -152,7 +154,7 @@ impl CachedBody {
     pub fn from_json(json: &str) -> CachedBody {
         let wire = Json::parse(json)
             .ok()
-            .and_then(|parsed| crate::wirecodec::encode_result(&parsed).ok());
+            .and_then(|parsed| wirecodec::encode_result(&parsed).ok());
         CachedBody {
             json: json.to_owned(),
             wire,
@@ -521,17 +523,18 @@ impl ResultCache {
     }
 }
 
-/// An intact disk body is the JSON object the engine stored for `key`:
-/// parseable, carrying the `result-v1` schema tag, and self-identifying
-/// with the key it is filed under. Anything else — truncated JSON,
-/// bit rot, a file renamed onto the wrong key — fails here and is
-/// treated as a miss rather than replayed.
+/// An intact disk body is the `result-v1` envelope the engine stored for
+/// `key`: parseable JSON that [`wirecodec::result_to_frame`] accepts —
+/// schema tag, a result of a known mode, and an embedded canonical query
+/// that parses and hashes to the envelope's key — with that key equal to
+/// the one it is filed under. Anything else — truncated JSON, bit rot, a
+/// file renamed onto the wrong key, an envelope whose query was edited —
+/// fails here and is treated as a miss rather than replayed.
 pub(crate) fn disk_body_is_valid(key: &str, body: &str) -> bool {
-    let Ok(parsed) = Json::parse(body) else {
-        return false;
-    };
-    parsed.get("schema").and_then(|s| s.as_str()) == Some("levy-served/result-v1")
-        && parsed.get("key").and_then(|k| k.as_str()) == Some(key)
+    Json::parse(body)
+        .ok()
+        .and_then(|parsed| wirecodec::result_to_frame(&parsed).ok())
+        .is_some_and(|frame| levy_wire::key_to_hex(&frame.query.key) == key)
 }
 
 /// An intact `.lw` sidecar decodes as a wire `Result` frame whose
@@ -553,10 +556,21 @@ mod tests {
         crate::request::fnv1a_128_hex(&i.to_le_bytes())
     }
 
-    /// A body that passes disk validation for `key` (the shape the
-    /// engine actually stores).
-    fn body_for(key: &str) -> String {
-        format!("{{\"schema\": \"levy-served/result-v1\", \"key\": \"{key}\", \"result\": {{}}}}")
+    /// A real `result-v1` envelope and its key, as the engine stores
+    /// them: a tiny single-walk query whose `seed` tells entries apart.
+    fn envelope(seed: u64) -> (String, String) {
+        let query = crate::request::Query::from_json(
+            &Json::parse(&format!(
+                r#"{{"kind":"single_walk","alpha":2.0,"ell":8,"budget":64,"trials":4,"seed":{seed}}}"#
+            ))
+            .unwrap(),
+        )
+        .unwrap();
+        let cancel = levy_sim::CancelToken::new();
+        let body = crate::engine::execute(&query, 1, &cancel)
+            .unwrap()
+            .to_string_pretty();
+        (query.cache_key(), body)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -612,14 +626,14 @@ mod tests {
             dir: Some(dir.clone()),
         };
         let cache = ResultCache::new(config.clone()).unwrap();
-        let body = body_for(&key(7));
-        cache.put(&key(7), &body);
+        let (k, body) = envelope(7);
+        cache.put(&k, &body);
         drop(cache);
         let reborn = ResultCache::new(config).unwrap();
-        let (got, tier) = reborn.get(&key(7)).unwrap();
+        let (got, tier) = reborn.get(&k).unwrap();
         assert_eq!((got.json, tier), (body.clone(), CacheTier::Disk));
         // Promoted to memory: second read is a memory hit.
-        let (got, tier) = reborn.get(&key(7)).unwrap();
+        let (got, tier) = reborn.get(&k).unwrap();
         assert_eq!((got.json, tier), (body, CacheTier::Memory));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -633,10 +647,9 @@ mod tests {
             dir: Some(dir.clone()),
         })
         .unwrap();
-        let k = key(9);
+        let (k, good) = envelope(9);
         let path = dir.join(format!("{k}.json"));
-        let good = body_for(&k);
-        let wrong_key = body_for(&key(10));
+        let (_, wrong_key) = envelope(10);
         for bad in [
             "not json at all",
             "{\"schema\": \"levy-served/result-v1\"}", // no key
@@ -651,13 +664,43 @@ mod tests {
         assert_eq!(stats.get("corrupt_entries").unwrap().as_u64(), Some(4));
         assert_eq!(stats.get("misses").unwrap().as_u64(), Some(4));
         // An intact body still round-trips.
-        cache.put(&k, &body_for(&k));
+        cache.put(&k, &good);
         let (got, tier) = cache.get(&k).unwrap();
         assert_eq!(
             (got.json, tier),
-            (body_for(&k), CacheTier::Disk),
+            (good, CacheTier::Disk),
             "valid bodies must keep replaying after corrupt ones were dropped"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn envelope_with_an_altered_query_is_a_miss() {
+        let dir = temp_dir("altered");
+        let cache = ResultCache::new(CacheConfig {
+            mem_capacity: 0,
+            disk_capacity: 8,
+            dir: Some(dir.clone()),
+        })
+        .unwrap();
+        let (k, good) = envelope(11);
+        cache.put(&k, &good);
+        let path = dir.join(format!("{k}.json"));
+        let lw = dir.join(format!("{k}.lw"));
+        assert!(lw.exists(), "intact sidecar stored");
+        // Same schema, same key, same result: only the embedded query's
+        // seed differs, so the body answers some other query.
+        let altered = good.replacen("\"seed\": 11", "\"seed\": 12", 1);
+        assert_ne!(altered, good);
+        fs::write(&path, &altered).unwrap();
+        assert!(
+            cache.get(&k).is_none(),
+            "an envelope whose query hashes elsewhere must not be replayed"
+        );
+        assert!(!path.exists() && !lw.exists(), "entry and sidecar dropped");
+        let stats = cache.stats_json();
+        assert_eq!(stats.get("corrupt_entries").unwrap().as_u64(), Some(1));
+        assert_eq!(stats.get("misses").unwrap().as_u64(), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -709,23 +752,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A real `result-v1` envelope (and its key) as the engine stores
-    /// them, for wire-sidecar tests.
-    fn real_envelope() -> (String, String) {
-        let query = crate::request::Query::from_json(
-            &Json::parse(
-                r#"{"kind":"single_walk","alpha":2.0,"ell":8,"budget":64,"trials":4,"seed":1}"#,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let cancel = levy_sim::CancelToken::new();
-        let body = crate::engine::execute(&query, 1, &cancel)
-            .unwrap()
-            .to_string_pretty();
-        (query.cache_key(), body)
-    }
-
     #[test]
     fn wire_sidecar_is_stored_and_replayed_byte_exactly() {
         let dir = temp_dir("wire");
@@ -734,7 +760,7 @@ mod tests {
             disk_capacity: 16,
             dir: Some(dir.clone()),
         };
-        let (k, body) = real_envelope();
+        let (k, body) = envelope(1);
         let cache = ResultCache::new(config.clone()).unwrap();
         cache.put(&k, &body);
         let lw = dir.join(format!("{k}.lw"));
@@ -758,7 +784,7 @@ mod tests {
             disk_capacity: 16,
             dir: Some(dir.clone()),
         };
-        let (k, body) = real_envelope();
+        let (k, body) = envelope(1);
         let cache = ResultCache::new(config).unwrap();
         cache.put(&k, &body);
         let lw = dir.join(format!("{k}.lw"));
@@ -790,11 +816,12 @@ mod tests {
             dir: Some(dir.clone()),
         })
         .unwrap();
-        let (k, body) = real_envelope();
+        let (k, body) = envelope(1);
         cache.put(&k, &body);
         assert!(dir.join(format!("{k}.lw")).exists());
-        for i in 0..4 {
-            cache.put(&key(i), &body_for(&key(i)));
+        for seed in 2..6 {
+            let (k, body) = envelope(seed);
+            cache.put(&k, &body);
             // Distinct mtimes so eviction order is deterministic.
             std::thread::sleep(std::time::Duration::from_millis(5));
         }

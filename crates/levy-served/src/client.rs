@@ -6,7 +6,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use crate::http::{
-    read_chunk, read_response, read_stream_head, write_request_full, Response, StreamHead,
+    read_chunk, read_response, read_stream_head, write_request, Response, StreamHead,
 };
 
 /// A client bound to one `host:port` with a per-request timeout.
@@ -60,7 +60,7 @@ impl Client {
         body: &[u8],
     ) -> io::Result<Response> {
         let mut stream = self.connect()?;
-        write_request_full(
+        write_request(
             &mut stream,
             method,
             path,
@@ -88,7 +88,7 @@ impl Client {
         let mut stream = self.connect()?;
         let mut all_headers: Vec<(&str, &str)> = vec![("X-Levy-Stream", "1")];
         all_headers.extend_from_slice(headers);
-        write_request_full(
+        write_request(
             &mut stream,
             "POST",
             path,

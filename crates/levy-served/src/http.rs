@@ -258,41 +258,11 @@ pub fn write_response<W: Write>(stream: &mut W, response: &Response) -> io::Resu
     stream.flush()
 }
 
-/// Writes one client request with `Connection: close` framing.
+/// Writes one client request with `Connection: close` framing. Extra
+/// `headers` (e.g. `traceparent`) go between the standard block and the
+/// blank line; wire-format POSTs pass `application/x-levy-wire` as the
+/// `content_type`.
 pub fn write_request<W: Write>(
-    stream: &mut W,
-    method: &str,
-    path: &str,
-    host: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    write_request_with_headers(stream, method, path, host, &[], body)
-}
-
-/// [`write_request`] with extra headers (e.g. `traceparent`) between the
-/// standard block and the blank line.
-pub fn write_request_with_headers<W: Write>(
-    stream: &mut W,
-    method: &str,
-    path: &str,
-    host: &str,
-    headers: &[(&str, &str)],
-    body: &[u8],
-) -> io::Result<()> {
-    write_request_full(
-        stream,
-        method,
-        path,
-        host,
-        "application/json",
-        headers,
-        body,
-    )
-}
-
-/// [`write_request_with_headers`] with an explicit request `Content-Type`
-/// (wire-format POSTs send `application/x-levy-wire`).
-pub fn write_request_full<W: Write>(
     stream: &mut W,
     method: &str,
     path: &str,
@@ -548,7 +518,16 @@ mod tests {
     #[test]
     fn client_request_wire_format() {
         let mut wire = Vec::new();
-        write_request(&mut wire, "POST", "/v1/query", "127.0.0.1:1", b"{}").unwrap();
+        write_request(
+            &mut wire,
+            "POST",
+            "/v1/query",
+            "127.0.0.1:1",
+            "application/json",
+            &[],
+            b"{}",
+        )
+        .unwrap();
         let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"{}");
@@ -651,9 +630,9 @@ mod tests {
     }
 
     #[test]
-    fn request_full_sets_content_type() {
+    fn request_sets_content_type_and_headers() {
         let mut wire = Vec::new();
-        write_request_full(
+        write_request(
             &mut wire,
             "POST",
             "/v1/query",

@@ -10,7 +10,8 @@
 use std::path::PathBuf;
 
 use levy_served::request::fnv1a_128_hex;
-use levy_served::{CacheConfig, CacheTier, ResultCache};
+use levy_served::{engine, CacheConfig, CacheTier, Query, ResultCache};
+use levy_sim::{CancelToken, Json};
 
 /// Reads one counter out of the cache's stats JSON.
 fn stat(cache: &ResultCache, name: &str) -> u64 {
@@ -21,10 +22,20 @@ fn stat(cache: &ResultCache, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("stat {name} missing"))
 }
 
-/// A body that passes disk validation for `key` (the shape the engine
-/// actually stores).
-fn body_for(key: &str) -> String {
-    format!("{{\"schema\": \"levy-served/result-v1\", \"key\": \"{key}\", \"result\": {{}}}}")
+/// A real `result-v1` envelope and its key, as the engine stores them: a
+/// tiny single-walk query whose `seed` tells entries apart.
+fn envelope(seed: u64) -> (String, String) {
+    let query = Query::from_json(
+        &Json::parse(&format!(
+            r#"{{"kind":"single_walk","alpha":2.0,"ell":8,"budget":64,"trials":4,"seed":{seed}}}"#
+        ))
+        .unwrap(),
+    )
+    .unwrap();
+    let body = engine::execute(&query, 1, &CancelToken::new())
+        .unwrap()
+        .to_string_pretty();
+    (query.cache_key(), body)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -48,15 +59,17 @@ fn disjoint_puts_then_gets_count_exactly() {
         dir: None,
     })
     .expect("cache");
+    // The memory tier never inspects bodies: one envelope serves all keys.
+    let (_, body) = envelope(0);
 
     // Phase 1: every thread inserts its own disjoint key range.
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let cache = &cache;
+            let (cache, body) = (&cache, &body);
             scope.spawn(move || {
                 for i in 0..keys_per_thread {
                     let key = format!("k-{t}-{i}");
-                    cache.put(&key, &body_for(&key));
+                    cache.put(&key, body);
                 }
             });
         }
@@ -104,15 +117,16 @@ fn contended_get_or_put_preserves_counter_identities() {
         dir: None,
     })
     .expect("cache");
+    let (_, body) = envelope(0);
 
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let cache = &cache;
+            let (cache, body) = (&cache, &body);
             scope.spawn(move || {
                 for i in 0..keys {
                     let key = format!("shared-{}", (i + t * 31) % keys);
                     if cache.get(&key).is_none() {
-                        cache.put(&key, &body_for(&key));
+                        cache.put(&key, body);
                     }
                 }
             });
@@ -143,14 +157,15 @@ fn concurrent_evictions_balance_insertions() {
         dir: None,
     })
     .expect("cache");
+    let (_, body) = envelope(0);
 
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let cache = &cache;
+            let (cache, body) = (&cache, &body);
             scope.spawn(move || {
                 for i in 0..keys_per_thread {
                     let key = format!("evict-{t}-{i}");
-                    cache.put(&key, &body_for(&key));
+                    cache.put(&key, body);
                 }
             });
         }
@@ -179,26 +194,31 @@ fn disk_tier_counters_are_exact_under_contention() {
     })
     .expect("cache");
 
-    // Disk keys must look like the engine's 32-hex-char request keys or
-    // the disk tier refuses to touch the filesystem for them.
-    let key_for = |t: usize, i: usize| fnv1a_128_hex(format!("d-{t}-{i}").as_bytes());
+    // Disk reads validate every body against its key, so each thread
+    // stores distinct real envelopes under their own keys.
+    let entries: Vec<Vec<(String, String)>> = (0..threads)
+        .map(|t| {
+            (0..keys_per_thread)
+                .map(|i| envelope((t * keys_per_thread + i) as u64))
+                .collect()
+        })
+        .collect();
     std::thread::scope(|scope| {
-        for t in 0..threads {
+        for own in &entries {
             let cache = &cache;
             scope.spawn(move || {
-                for i in 0..keys_per_thread {
-                    let key = key_for(t, i);
-                    cache.put(&key, &body_for(&key));
+                for (key, body) in own {
+                    cache.put(key, body);
                 }
             });
         }
     });
     std::thread::scope(|scope| {
-        for t in 0..threads {
+        for (t, own) in entries.iter().enumerate() {
             let cache = &cache;
             scope.spawn(move || {
-                for i in 0..keys_per_thread {
-                    let (_, tier) = cache.get(&key_for(t, i)).expect("stored key");
+                for (key, _) in own {
+                    let (_, tier) = cache.get(key).expect("stored key");
                     assert_eq!(tier, CacheTier::Disk);
                 }
                 assert!(cache
