@@ -442,3 +442,42 @@ fn epoch_skew_on_forwards_is_counted_never_fatal() {
     );
     cluster.shutdown();
 }
+
+#[test]
+fn replica_write_with_an_altered_query_is_rejected() {
+    let cluster = TestCluster::builder(2).token("repl-secret").start();
+    let query = levy_served::Query::from_json(
+        &Json::parse(
+            r#"{"kind":"single_walk","alpha":2.0,"ell":8,"budget":64,"trials":4,"seed":21}"#,
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    let key = query.cache_key();
+    let intact = levy_served::engine::execute(&query, 1, &levy_sim::CancelToken::new())
+        .unwrap()
+        .to_string_pretty();
+    // Same schema, key and result; only the embedded query's seed differs,
+    // so the body claims a key its query does not hash to.
+    let altered = intact.replacen("\"seed\": 21", "\"seed\": 22", 1);
+    assert_ne!(altered, intact);
+
+    let path = format!("/v1/cache/{key}");
+    let token = [("x-levy-cluster-token", "repl-secret")];
+    let client = cluster.client(0);
+    let put = |body: &str| {
+        client
+            .request_with_headers("PUT", &path, &token, body.as_bytes())
+            .expect("daemon answers")
+    };
+    let rejected = put(&altered);
+    assert_eq!(rejected.status, 400, "body: {}", rejected.body_string());
+    assert_eq!(client.get(&path).expect("peek").status, 404);
+
+    // The intact envelope is stored and peeked back byte for byte.
+    assert_eq!(put(&intact).status, 201);
+    let peeked = client.get(&path).expect("peek");
+    assert_eq!(peeked.status, 200);
+    assert_eq!(peeked.body_string(), intact);
+    cluster.shutdown();
+}
