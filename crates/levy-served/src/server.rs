@@ -22,7 +22,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -286,7 +286,6 @@ impl Server {
     /// Binds, spawns the worker pool and accept loop, and returns.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let cache = match &config.faults {
             Some(plan) => ResultCache::with_store(
@@ -489,6 +488,16 @@ impl Server {
         self.inner.shutting_down.store(true, Ordering::Release);
         self.inner.queue_changed.notify_all();
         self.inner.repl_changed.notify_all();
+        // Wake the accept loop out of its blocking `accept`; it sees the
+        // flag and drops this connection unhandled.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -721,16 +730,6 @@ fn run_handoff(inner: &Arc<Inner>, scope: HandoffScope) {
     inner.stats.handoff_progress.set(0);
 }
 
-/// Accept-loop idle policy. After any accepted connection the loop
-/// stays hot for `ACCEPT_SPIN_POLLS` rounds of `yield_now` polling —
-/// back-to-back clients see microsecond accept latency instead of a
-/// fixed poll interval. Once the spin budget is spent, the loop falls
-/// back to sleeping, doubling from `MIN` toward `MAX` so a quiet
-/// daemon still costs only the old 2 ms poll.
-const ACCEPT_SPIN_POLLS: u32 = 256;
-const ACCEPT_IDLE_MIN: Duration = Duration::from_micros(50);
-const ACCEPT_IDLE_MAX: Duration = Duration::from_millis(2);
-
 /// Persistent connection-handler threads fed by a rendezvous channel.
 /// A `try_send` succeeds only when a pool thread is parked in `recv`,
 /// so a busy pool (e.g. every thread tied up in a long-lived stream)
@@ -779,19 +778,20 @@ fn spawn_conn_pool(inner: &Arc<Inner>) -> mpsc::SyncSender<ConnWork> {
     tx
 }
 
-/// Polling accept loop: nonblocking accepts + shutdown checks. Each
-/// connection is handed to an idle pool thread when one is parked, or
-/// to a freshly spawned thread otherwise (connections are short-lived:
-/// `Connection: close`).
+/// Blocking accept loop. Each connection is handed to an idle pool
+/// thread when one is parked, or to a freshly spawned thread otherwise
+/// (connections are short-lived: `Connection: close`). Shutdown wakes
+/// the blocked `accept` by connecting to the listener; the flag is read
+/// before the connection claims a fault index or a connection slot.
 fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
     let pool = spawn_conn_pool(inner);
-    let mut spin = 0u32;
-    let mut idle = ACCEPT_IDLE_MIN;
-    while !inner.shutting_down.load(Ordering::Acquire) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.shutting_down.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
-                spin = ACCEPT_SPIN_POLLS;
-                idle = ACCEPT_IDLE_MIN;
                 let read_timeout = Duration::from_millis(inner.config.read_timeout_ms.max(1));
                 let _ = stream.set_read_timeout(Some(read_timeout));
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -820,15 +820,7 @@ fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
                     inner.open_connections.fetch_sub(1, Ordering::AcqRel);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if spin > 0 {
-                    spin -= 1;
-                    std::thread::yield_now();
-                } else {
-                    std::thread::sleep(idle);
-                    idle = (idle * 2).min(ACCEPT_IDLE_MAX);
-                }
-            }
+            // Real accept errors (EMFILE and the like): back off briefly.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
