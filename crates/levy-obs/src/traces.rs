@@ -73,6 +73,9 @@ pub struct FinishedTrace {
 }
 
 struct ActiveTrace {
+    /// The id the finished trace reports. Equal to the slot key unless
+    /// this fragment had to be given a slot of its own (see `start_root`).
+    trace_id: TraceId,
     root_name: String,
     start_unix_us: u64,
     status: u16,
@@ -132,6 +135,14 @@ impl TraceStore {
     /// `traceparent`), the trace adopts the caller's trace id and records
     /// the caller's span as its remote parent; otherwise a fresh trace id
     /// is minted.
+    ///
+    /// When a fragment of the adopted trace is still open in this store,
+    /// the new fragment gets a freshly minted slot id, so the two trees
+    /// never share spans; its spans' contexts carry that slot id, but the
+    /// finished fragment still reports the adopted id. This is the normal
+    /// case for a cluster hop: a peer's cache peek finalizes just after
+    /// its response is written, so the forward that follows the peek can
+    /// arrive while the peek's fragment is still open.
     pub fn start_root(&self, name: &str, parent: Option<SpanContext>) -> TraceSpan {
         let (trace_id, remote_parent) = match parent {
             Some(ctx) => (ctx.trace_id, Some(ctx.span_id)),
@@ -139,16 +150,15 @@ impl TraceStore {
         };
         let start_unix_us = unix_us();
         let mut state = self.inner.state.lock().unwrap();
-        // A trace-id collision (malicious or duplicated traceparent) would
-        // corrupt an in-flight tree; mint a fresh id instead.
-        let trace_id = if state.active.contains_key(&trace_id.0) {
+        let slot = if state.active.contains_key(&trace_id.0) {
             next_trace_id()
         } else {
             trace_id
         };
         state.active.insert(
-            trace_id.0,
+            slot.0,
             ActiveTrace {
+                trace_id,
                 root_name: name.to_owned(),
                 start_unix_us,
                 status: 0,
@@ -160,7 +170,7 @@ impl TraceStore {
         TraceSpan {
             store: self.clone(),
             ctx: SpanContext {
-                trace_id,
+                trace_id: slot,
                 span_id: next_span_id(),
             },
             parent_id: remote_parent,
@@ -268,7 +278,7 @@ impl TraceStore {
             let mut spans = active.spans;
             spans.push(record);
             let finished = FinishedTrace {
-                trace_id: span.ctx.trace_id,
+                trace_id: active.trace_id,
                 root_name: active.root_name,
                 start_unix_us: active.start_unix_us,
                 dur_us,
@@ -436,6 +446,32 @@ mod tests {
             .unwrap();
         assert_eq!(worker.parent_id, Some(ctx.span_id));
         assert_eq!(worker.tags, vec![("worker".to_owned(), "3".to_owned())]);
+    }
+
+    #[test]
+    fn concurrent_fragments_of_one_trace_stay_apart_under_its_id() {
+        let store = TraceStore::new(8);
+        let remote = SpanContext {
+            trace_id: TraceId(0xFEED),
+            span_id: SpanId(0xBEEF),
+        };
+        let peek = store.start_root("request", Some(remote));
+        let forward = store.start_root("request", Some(remote));
+        let peek_probe = peek.child("cache_probe");
+        let worker = store.span(forward.ctx(), "worker_exec");
+        peek_probe.finish();
+        worker.finish();
+        peek.finish();
+        forward.finish();
+        let fragments = store.get_all(TraceId(0xFEED));
+        assert_eq!(fragments.len(), 2, "both fragments report the adopted id");
+        let names =
+            |t: &FinishedTrace| -> Vec<String> { t.spans.iter().map(|s| s.name.clone()).collect() };
+        assert_eq!(names(&fragments[0]), ["cache_probe", "request"]);
+        assert_eq!(names(&fragments[1]), ["worker_exec", "request"]);
+        assert!(fragments
+            .iter()
+            .all(|t| t.remote_parent == Some(SpanId(0xBEEF))));
     }
 
     #[test]

@@ -181,6 +181,22 @@ impl TestCluster {
             .all(|s| s.settle_replication(timeout))
     }
 
+    /// Polls briefly until node `i` holds a finished fragment of
+    /// `trace_id` with a span named `span`. A root span finalizes *after*
+    /// its response bytes hit the wire, so a client that just received
+    /// its response may be ahead of a node's trace store.
+    pub fn await_span(&self, i: usize, trace_id: &str, span: &str) {
+        for _ in 0..250 {
+            let found = self.server(i).traces().finished().iter().any(|t| {
+                t.trace_id.to_string() == trace_id && t.spans.iter().any(|s| s.name == span)
+            });
+            if found {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     /// Simulations started across all live nodes.
     pub fn total_simulations(&self) -> u64 {
         self.servers
