@@ -423,7 +423,7 @@ impl ResultCache {
         while mem.len() > self.config.mem_capacity {
             let oldest = mem
                 .iter()
-                .min_by_key(|(k, e)| (e.tick, (*k).clone()))
+                .min_by_key(|(_, e)| e.tick)
                 .map(|(k, _)| k.clone())
                 .expect("non-empty over capacity");
             mem.remove(&oldest);

@@ -113,6 +113,8 @@ pub struct Stats {
     /// Keys pushed so far by the in-flight handoff scan (0 when idle) —
     /// the live progress signal a rebalance governor watches.
     pub handoff_progress: Gauge,
+    /// Connection threads alive, parked in `accept` or serving.
+    pub connection_threads: Gauge,
 }
 
 impl Default for Stats {
@@ -262,6 +264,10 @@ impl Stats {
             "levy_served_handoff_progress",
             "Keys pushed so far by the in-flight handoff scan (0 when idle).",
         );
+        let connection_threads = registry.gauge(
+            "levy_served_connection_threads",
+            "Connection threads alive, parked in accept or serving a connection.",
+        );
         Stats {
             registry,
             http_requests,
@@ -299,6 +305,7 @@ impl Stats {
             ring_epoch,
             repl_backlog_depth,
             handoff_progress,
+            connection_threads,
         }
     }
 

@@ -15,16 +15,16 @@
 //! 5. workers pop jobs, run the deterministic engine, store the body in
 //!    the cache, and wake every waiter.
 //!
-//! Shutdown (`SIGTERM` via `signal`, or `POST /v1/shutdown`) stops the
-//! accept loop, lets workers drain every queued job, and waits for open
-//! connections to finish — in-flight work is answered, new work is
-//! refused with 503.
+//! Shutdown (`SIGTERM` via `signal`, or `POST /v1/shutdown`) wakes the
+//! parked connection threads and closes the listener, lets workers
+//! drain every queued job, and waits for open connections to finish —
+//! in-flight work is answered, new work is refused with 503.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use levy_obs::{
@@ -39,7 +39,7 @@ use crate::cluster::{
     Cluster, ClusterConfig, RemoteRoute, RoutePlan, EPOCH_HEADER, FORWARDED_HEADER, TOKEN_HEADER,
 };
 use crate::engine;
-use crate::fault::{ConnFaults, FaultDisk, FaultPlan, FaultStream};
+use crate::fault::{FaultDisk, FaultPlan, FaultStream};
 use crate::http::{
     finish_chunked, read_request, write_chunk, write_chunked_head, write_response, Request,
     Response,
@@ -201,7 +201,7 @@ struct ReplState {
     busy: bool,
 }
 
-/// State shared by the accept loop, connection handlers, and workers.
+/// State shared by the connection threads and workers.
 struct Inner {
     config: ServerConfig,
     cache: ResultCache,
@@ -227,6 +227,10 @@ struct Inner {
     /// Set by `POST /v1/shutdown`; the daemon's main loop polls it.
     shutdown_requested: AtomicBool,
     open_connections: AtomicUsize,
+    /// Shared by every connection thread; taken out by `shutdown`.
+    listener: RwLock<Option<TcpListener>>,
+    /// Connection threads parked in (or about to enter) `accept`.
+    parked_acceptors: AtomicUsize,
     started: Instant,
 }
 
@@ -276,14 +280,13 @@ impl Inner {
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     prober_handle: Option<std::thread::JoinHandle<()>>,
     repl_handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and accept loop, and returns.
+    /// Binds, spawns the worker pool and connection threads, and returns.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -342,6 +345,8 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
             open_connections: AtomicUsize::new(0),
+            listener: RwLock::new(Some(listener)),
+            parked_acceptors: AtomicUsize::new(0),
             started: Instant::now(),
         });
         if let Some(cluster) = &inner.cluster {
@@ -386,16 +391,13 @@ impl Server {
                     .expect("spawn worker"),
             );
         }
-        let accept_inner = Arc::clone(&inner);
-        let accept_handle = std::thread::Builder::new()
-            .name("levyd-accept".into())
-            .spawn(move || accept_loop(listener, &accept_inner))
-            .expect("spawn accept loop");
+        for _ in 0..ACCEPTORS {
+            spawn_acceptor(&inner).expect("spawn connection thread");
+        }
 
         Ok(Server {
             inner,
             addr,
-            accept_handle: Some(accept_handle),
             worker_handles,
             prober_handle,
             repl_handle,
@@ -485,11 +487,12 @@ impl Server {
     /// Graceful shutdown: stop accepting, drain the queue, join workers,
     /// wait (bounded) for open connections to finish writing.
     pub fn shutdown(mut self) {
-        self.inner.shutting_down.store(true, Ordering::Release);
+        self.inner.shutting_down.store(true, Ordering::SeqCst);
         self.inner.queue_changed.notify_all();
         self.inner.repl_changed.notify_all();
-        // Wake the accept loop out of its blocking `accept`; it sees the
-        // flag and drops this connection unhandled.
+        // Dial the listener until every parked connection thread has
+        // woken from `accept`, read the flag and exited, then close it
+        // so a restart on the same address binds.
         let mut wake = self.addr;
         if wake.ip().is_unspecified() {
             wake.set_ip(match wake {
@@ -497,9 +500,15 @@ impl Server {
                 SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
             });
         }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while self.inner.parked_acceptors.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // With none parked, no thread holds the listener; `try_write`
+        // keeps a wake that never landed from hanging shutdown.
+        if let Ok(mut listener) = self.inner.listener.try_write() {
+            listener.take();
         }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
@@ -730,100 +739,74 @@ fn run_handoff(inner: &Arc<Inner>, scope: HandoffScope) {
     inner.stats.handoff_progress.set(0);
 }
 
-/// Persistent connection-handler threads fed by a rendezvous channel.
-/// A `try_send` succeeds only when a pool thread is parked in `recv`,
-/// so a busy pool (e.g. every thread tied up in a long-lived stream)
-/// cleanly overflows to a freshly spawned thread — the pool is a spawn
-/// cost optimisation, never a concurrency limit. Threads exit when the
-/// accept loop drops the sender.
-const CONN_POOL_THREADS: usize = 4;
+/// Connection threads kept parked in `accept` (leader/followers): each
+/// serves the connection it accepted itself, so a connection costs one
+/// kernel wake-up and no hand-off. The thread that takes the last parked
+/// slot spawns a replacement before serving, and a thread that finishes
+/// parks again only while fewer than `ACCEPTORS` are parked: the parked
+/// threads save spawn cost and never limit concurrency.
+pub const ACCEPTORS: usize = 4;
 
-/// One accepted connection plus its pre-claimed fault script, as handed
-/// from the accept loop to whichever thread runs the handler.
-struct ConnWork {
-    stream: TcpStream,
-    faults: Option<ConnFaults>,
+/// Spawns one connection thread, counted as parked before it starts.
+fn spawn_acceptor(inner: &Arc<Inner>) -> io::Result<()> {
+    inner.parked_acceptors.fetch_add(1, Ordering::SeqCst);
+    inner.stats.connection_threads.inc();
+    let thread_inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name("levyd-conn".into())
+        .spawn(move || acceptor_loop(&thread_inner))
+        .map(drop)
+        .inspect_err(|_| {
+            inner.parked_acceptors.fetch_sub(1, Ordering::SeqCst);
+            inner.stats.connection_threads.dec();
+        })
 }
 
-fn run_conn_work(work: ConnWork, inner: &Arc<Inner>) {
-    match work.faults {
-        Some(faults) => handle_connection(FaultStream::new(work.stream, faults), inner),
-        None => handle_connection(work.stream, inner),
-    }
-    inner.open_connections.fetch_sub(1, Ordering::AcqRel);
-}
-
-fn spawn_conn_pool(inner: &Arc<Inner>) -> mpsc::SyncSender<ConnWork> {
-    let (tx, rx) = mpsc::sync_channel::<ConnWork>(0);
-    let rx = Arc::new(Mutex::new(rx));
-    for _ in 0..CONN_POOL_THREADS {
-        let rx = Arc::clone(&rx);
-        let inner = Arc::clone(inner);
-        let _ = std::thread::Builder::new()
-            .name("levyd-conn-pool".into())
-            .spawn(move || loop {
-                // Hold the lock only for the recv itself: a pool thread
-                // handling a slow connection must not block its idle
-                // peers from picking up new work.
-                let work = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(_) => return,
-                };
-                match work {
-                    Ok(work) => run_conn_work(work, &inner),
-                    Err(_) => return,
-                }
-            });
-    }
-    tx
-}
-
-/// Blocking accept loop. Each connection is handed to an idle pool
-/// thread when one is parked, or to a freshly spawned thread otherwise
-/// (connections are short-lived: `Connection: close`). Shutdown wakes
-/// the blocked `accept` by connecting to the listener; the flag is read
-/// before the connection claims a fault index or a connection slot.
-fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
-    let pool = spawn_conn_pool(inner);
-    loop {
-        let accepted = listener.accept();
-        if inner.shutting_down.load(Ordering::Acquire) {
-            return;
+/// One connection thread. It is counted in `parked_acceptors` from the
+/// top of the loop until `accept` returns, and reads the shutdown flag
+/// after that count is raised, so `shutdown` either sees it parked (and
+/// dials it awake) or it sees the flag. The flag is read again as soon as
+/// `accept` returns, before the connection claims a fault index or a slot.
+fn acceptor_loop(inner: &Arc<Inner>) {
+    let parked = &inner.parked_acceptors;
+    while !inner.shutting_down.load(Ordering::SeqCst) {
+        let accepted = match inner.listener.read().as_deref() {
+            Ok(Some(listener)) => listener.accept(),
+            _ => Err(io::ErrorKind::NotConnected.into()),
+        };
+        if inner.shutting_down.load(Ordering::SeqCst) {
+            break;
         }
-        match accepted {
-            Ok((stream, _peer)) => {
-                let read_timeout = Duration::from_millis(inner.config.read_timeout_ms.max(1));
-                let _ = stream.set_read_timeout(Some(read_timeout));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-                // Request/response exchanges are single coalesced
-                // writes; Nagle only adds latency here.
-                let _ = stream.set_nodelay(true);
-                // Socket faults are claimed here, in accept order, so
-                // connection indices are deterministic even though
-                // handlers run on their own threads.
-                let conn_faults = inner.config.faults.as_ref().map(|plan| plan.next_conn());
-                inner.open_connections.fetch_add(1, Ordering::AcqRel);
-                let work = ConnWork {
-                    stream,
-                    faults: conn_faults,
-                };
-                let work = match pool.try_send(work) {
-                    Ok(()) => continue,
-                    Err(mpsc::TrySendError::Full(work))
-                    | Err(mpsc::TrySendError::Disconnected(work)) => work,
-                };
-                let conn_inner = Arc::clone(inner);
-                let spawned = std::thread::Builder::new()
-                    .name("levyd-conn".into())
-                    .spawn(move || run_conn_work(work, &conn_inner));
-                if spawned.is_err() {
-                    inner.open_connections.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            // Real accept errors (EMFILE and the like): back off briefly.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        // Real accept errors (EMFILE and the like): back off briefly.
+        let Ok((stream, _peer)) = accepted else {
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        if parked.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // On a failed spawn none is parked until this thread is.
+            let _ = spawn_acceptor(inner);
+        }
+        let read_timeout = Duration::from_millis(inner.config.read_timeout_ms.max(1));
+        let _ = stream.set_read_timeout(Some(read_timeout));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+        // Request/response exchanges are single coalesced writes; Nagle
+        // only adds latency here.
+        let _ = stream.set_nodelay(true);
+        // Claimed by the accepting thread right after `accept`: accept
+        // order for clients that connect one after another (DESIGN.md §9.1).
+        let conn_faults = inner.config.faults.as_ref().map(|plan| plan.next_conn());
+        inner.open_connections.fetch_add(1, Ordering::AcqRel);
+        match conn_faults {
+            Some(faults) => handle_connection(FaultStream::new(stream, faults), inner),
+            None => handle_connection(stream, inner),
+        }
+        inner.open_connections.fetch_sub(1, Ordering::AcqRel);
+        if parked.fetch_add(1, Ordering::SeqCst) >= ACCEPTORS {
+            break;
         }
     }
+    parked.fetch_sub(1, Ordering::SeqCst);
+    inner.stats.connection_threads.dec();
 }
 
 /// Reads one request, routes it, writes one response, closes.

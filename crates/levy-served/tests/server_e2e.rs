@@ -5,15 +5,16 @@
 //! answered over HTTP, byte-identical cache replays, N concurrent
 //! identical cold queries costing exactly one simulation, determinism
 //! across worker/thread configurations and cache tiers, backpressure,
-//! deadline behaviour, and prompt shutdown of the blocking accept loop.
+//! deadline behaviour, and the connection threads: blocking accept,
+//! growth past the parked set, and prompt shutdown.
 
 use std::io::Read;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use levy_served::server::{Server, ServerConfig};
+use levy_served::server::{Server, ServerConfig, ACCEPTORS};
 use levy_served::{CacheConfig, Client, FaultPlan};
 use levy_sim::Json;
 
@@ -419,11 +420,78 @@ fn idle_shutdown_is_prompt_on_every_bind_form() {
             ..test_config()
         })
         .expect("server starts");
-        // Idle well past any accept spin budget: the loop is parked in
-        // a blocking `accept`.
+        let addr = server.addr();
+        // Idle well past any accept spin budget: every connection thread
+        // is parked in a blocking `accept`.
         std::thread::sleep(Duration::from_millis(100));
         shutdown_within(server, Duration::from_secs(2));
+        // Every parked thread was woken and the listener closed: the
+        // same address binds again at once.
+        TcpListener::bind(addr)
+            .unwrap_or_else(|e| panic!("{bind}: {addr} still bound after shutdown: {e}"));
     }
+}
+
+#[test]
+fn shutdown_releases_the_address_while_a_connection_is_still_open() {
+    // The silent client outlives shutdown's 5 s grace for open
+    // connections, so its thread still runs when `shutdown` returns;
+    // the listener must be closed all the same.
+    let server = Server::start(ServerConfig {
+        read_timeout_ms: 30_000,
+        ..test_config()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let silent = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(100));
+    shutdown_within(server, Duration::from_secs(8));
+    TcpListener::bind(addr).unwrap_or_else(|e| panic!("{addr} still bound after shutdown: {e}"));
+    drop(silent);
+}
+
+#[test]
+fn silent_connections_beyond_the_parked_threads_do_not_block_service() {
+    let server = Server::start(ServerConfig {
+        read_timeout_ms: 500,
+        ..test_config()
+    })
+    .expect("server starts");
+    assert_eq!(server.stats().connection_threads.get(), ACCEPTORS as i64);
+    // More silent clients than parked connection threads: each one ties
+    // up a thread until its read deadline.
+    let silent: Vec<TcpStream> = (0..ACCEPTORS + 2)
+        .map(|_| {
+            let stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("client read timeout");
+            stream
+        })
+        .collect();
+    let client = Client::new(&server.addr().to_string()).with_timeout(Duration::from_secs(1));
+    let asked = Instant::now();
+    let health = client.get("/healthz").expect("healthz answered");
+    assert_eq!(health.status, 200);
+    // Answered well before the silent clients' read deadline, so a
+    // connection thread was spawned for it rather than freed by a 408.
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_millis(400),
+        "healthz took {waited:?}"
+    );
+    for mut stream in silent {
+        let mut reply = String::new();
+        let _ = stream.read_to_string(&mut reply);
+        assert!(reply.starts_with("HTTP/1.1 408"), "reply: {reply:?}");
+    }
+    // Idle again: the threads beyond the parked set exit.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while server.stats().connection_threads.get() != ACCEPTORS as i64 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.stats().connection_threads.get(), ACCEPTORS as i64);
+    shutdown_within(server, Duration::from_secs(2));
 }
 
 #[test]
@@ -437,7 +505,7 @@ fn shutdown_with_a_silent_client_still_connected_is_prompt() {
     silent
         .set_read_timeout(Some(Duration::from_secs(5)))
         .expect("client read timeout");
-    // Let the accept loop hand the connection to a handler.
+    // Let a connection thread accept it.
     std::thread::sleep(Duration::from_millis(200));
     shutdown_within(server, Duration::from_secs(2));
     // The connection accepted before shutdown is still answered: its
