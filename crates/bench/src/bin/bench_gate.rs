@@ -1,19 +1,17 @@
 //! `bench_gate` — regression gate over the committed bench snapshots.
 //!
 //! ```text
-//! bench_gate [--smoke] [--tolerance FRAC]
+//! bench_gate [--smoke]
 //! ```
 //!
 //! Runs a fresh benchmark snapshot and diffs it against the committed
-//! `BENCH_runner.json` / `BENCH_sampler.json` / `BENCH_server.json` at
-//! the repository root, failing (exit code 1) when any gated ratio
-//! regresses by more than the tolerance (default 30%) or a hard
-//! invariant (determinism, byte-identical cache replay) breaks.
+//! `BENCH_runner.json` / `BENCH_sampler.json` at the repository root,
+//! failing (exit code 1) when any gated ratio regresses by more than 30%
+//! or the cross-thread determinism invariant breaks.
 //!
 //! `--smoke` measures at the *gate profile*: reduced repetition so CI
-//! finishes in tens of seconds, but with scale-sensitive quantities
-//! (per-query trial count, dedup client count) kept at committed scale
-//! so the gated ratios stay comparable. Without the flag the fresh run
+//! finishes in seconds; the gated ratios are same-host ratios, so they
+//! stay comparable to the committed ones. Without the flag the fresh run
 //! uses the full committed-snapshot workload.
 //!
 //! Only host-independent ratios are gated; absolute throughputs are
@@ -22,8 +20,8 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use levy_bench::gate::{gate_snapshots, Snapshots, DEFAULT_TOLERANCE};
-use levy_bench::snapshot::{runner_snapshot, sampler_snapshot, server_snapshot, Profile};
+use levy_bench::gate::{gate_snapshots, Snapshots, TOLERANCE};
+use levy_bench::snapshot::{runner_snapshot, sampler_snapshot, Profile};
 use levy_sim::Json;
 
 fn repo_root() -> PathBuf {
@@ -38,35 +36,19 @@ fn load(path: &Path) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
 }
 
-fn parse_args() -> Result<(Profile, f64), String> {
+fn parse_args() -> Result<Profile, String> {
     let mut profile = Profile::full();
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
+    for flag in std::env::args().skip(1) {
         match flag.as_str() {
             "--smoke" => profile = Profile::gate(),
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .ok_or("--tolerance requires a value")?
-                    .parse()
-                    .map_err(|_| "--tolerance must be a number".to_owned())?;
-                if !(0.0..1.0).contains(&tolerance) {
-                    return Err("--tolerance must be in [0, 1)".to_owned());
-                }
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other}\nusage: bench_gate [--smoke] [--tolerance FRAC]"
-                ))
-            }
+            other => return Err(format!("unknown flag {other}\nusage: bench_gate [--smoke]")),
         }
     }
-    Ok((profile, tolerance))
+    Ok(profile)
 }
 
 fn main() -> ExitCode {
-    let (profile, tolerance) = match parse_args() {
+    let profile = match parse_args() {
         Ok(v) => v,
         Err(message) => {
             eprintln!("bench_gate: {message}");
@@ -78,15 +60,10 @@ fn main() -> ExitCode {
     let committed = match (
         load(&root.join("BENCH_runner.json")),
         load(&root.join("BENCH_sampler.json")),
-        load(&root.join("BENCH_server.json")),
     ) {
-        (Ok(runner), Ok(sampler), Ok(server)) => Snapshots {
-            runner,
-            sampler,
-            server,
-        },
-        (runner, sampler, server) => {
-            for result in [runner, sampler, server] {
+        (Ok(runner), Ok(sampler)) => Snapshots { runner, sampler },
+        (runner, sampler) => {
+            for result in [runner, sampler] {
                 if let Err(e) = result {
                     eprintln!("bench_gate: {e}");
                 }
@@ -98,15 +75,14 @@ fn main() -> ExitCode {
     println!(
         "bench_gate: measuring fresh snapshot ({} profile, tolerance {:.0}%)",
         profile.name,
-        tolerance * 100.0
+        TOLERANCE * 100.0
     );
     let fresh = Snapshots {
         runner: runner_snapshot(&profile),
         sampler: sampler_snapshot(&profile),
-        server: server_snapshot(&profile),
     };
 
-    let report = gate_snapshots(&committed, &fresh, tolerance);
+    let report = gate_snapshots(&committed, &fresh);
     println!();
     print!("{}", report.render());
     if report.passed() {

@@ -1,27 +1,20 @@
-//! Bench snapshot pipeline: regenerates `BENCH_runner.json`,
-//! `BENCH_sampler.json`, and `BENCH_server.json` at the repository root
+//! Bench snapshot pipeline: regenerates `BENCH_runner.json` and
+//! `BENCH_sampler.json` at the repository root
 //! (`scripts/bench_snapshot.sh` is the entry point).
 //!
 //! The measurements live in `levy_bench::snapshot` (shared with the
 //! `bench_gate` regression gate); this binary picks the workload profile
 //! and the output directory.
 //!
-//! `--smoke` (or `LEVY_BENCH_SMOKE=1`) shrinks every workload and writes
+//! `--smoke` shrinks every workload and writes
 //! under the results directory (`LEVY_RESULTS_DIR`, default `results/`)
 //! instead of the repository root, so CI can exercise the pipeline in
 //! seconds without touching the committed snapshots.
 
 use std::path::PathBuf;
 
-use levy_bench::snapshot::{runner_snapshot, sampler_snapshot, server_snapshot, Profile};
+use levy_bench::snapshot::{runner_snapshot, sampler_snapshot, Profile};
 use levy_sim::write_json;
-
-fn smoke_mode() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-        || std::env::var("LEVY_BENCH_SMOKE")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-}
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,7 +23,7 @@ fn repo_root() -> PathBuf {
 }
 
 fn main() {
-    let smoke = smoke_mode();
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let profile = if smoke {
         Profile::smoke()
     } else {
@@ -56,9 +49,4 @@ fn main() {
     let sampler_path = out_dir.join("BENCH_sampler.json");
     write_json(&sampler, &sampler_path).expect("write BENCH_sampler.json");
     println!("[written {}]", sampler_path.display());
-
-    let server = server_snapshot(&profile);
-    let server_path = out_dir.join("BENCH_server.json");
-    write_json(&server, &server_path).expect("write BENCH_server.json");
-    println!("[written {}]", server_path.display());
 }

@@ -6,7 +6,6 @@
 //! parameterization recorded in EXPERIMENTS.md's "full" columns.
 
 pub mod gate;
-pub mod microbench;
 pub mod snapshot;
 
 use std::path::PathBuf;

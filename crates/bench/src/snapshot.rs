@@ -18,9 +18,9 @@
 //! Workload sizes come from a [`Profile`]:
 //!
 //! * [`Profile::full`] — the committed-snapshot scale;
-//! * [`Profile::gate`] — the regression-gate scale: small enough for CI,
-//!   but with scale-sensitive quantities (per-query trial count, dedup
-//!   client count) kept at the committed scale so ratios are comparable;
+//! * [`Profile::gate`] — the regression-gate scale: small enough for CI;
+//!   the gated quantities are same-host ratios, so they stay comparable
+//!   to the committed scale;
 //! * [`Profile::smoke`] — seconds-scale pipeline exercise; its absolute
 //!   numbers are *not* comparable to the committed snapshots.
 
@@ -51,13 +51,6 @@ pub struct Profile {
     pub sampler_draws: u64,
     /// Best-of reps for sampler timings.
     pub sampler_reps: u32,
-    /// Distinct cold queries in the server workload.
-    pub server_distinct: u64,
-    /// Trials per server query. Scale-sensitive: the cache speedup of a
-    /// 300-trial query is not comparable to that of a 100-trial one.
-    pub server_trials: u64,
-    /// Concurrent identical clients in the dedup measurement.
-    pub server_dedup_clients: usize,
 }
 
 impl Profile {
@@ -70,9 +63,6 @@ impl Profile {
             throughput_base: 48,
             sampler_draws: 8_000_000,
             sampler_reps: 3,
-            server_distinct: 16,
-            server_trials: 300,
-            server_dedup_clients: 8,
         }
     }
 
@@ -86,9 +76,6 @@ impl Profile {
             throughput_base: 24,
             sampler_draws: 2_000_000,
             sampler_reps: 3,
-            server_distinct: 6,
-            server_trials: 300,
-            server_dedup_clients: 8,
         }
     }
 
@@ -102,9 +89,6 @@ impl Profile {
             throughput_base: 4,
             sampler_draws: 200_000,
             sampler_reps: 1,
-            server_distinct: 4,
-            server_trials: 100,
-            server_dedup_clients: 4,
         }
     }
 
@@ -364,262 +348,6 @@ pub fn sampler_snapshot(profile: &Profile) -> Json {
     ])
 }
 
-/// Serving throughput: an in-process `levyd` core timed over real TCP.
-///
-/// Three measurements, all on E6-style parallel queries:
-///
-/// * **cold** — distinct seeds, every request simulates;
-/// * **cached** — the same queries replayed, every request is a memory
-///   hit (and the bodies must be byte-identical to the cold run);
-/// * **dedup** — N concurrent identical cold requests, which must cost
-///   exactly one simulation (`dedup_factor = N / simulations`);
-/// * **wire** — the cached replays negotiated as JSON vs the binary
-///   levy-wire representation: req/s for both, encoded body sizes, and
-///   an exact-transcode invariant (the binary body must decode back to
-///   the JSON bytes).
-pub fn server_snapshot(profile: &Profile) -> Json {
-    use levy_served::server::{Server, ServerConfig};
-    use levy_served::{CacheConfig, Client};
-    use std::sync::{Arc, Barrier};
-
-    let distinct: u64 = profile.server_distinct;
-    let trials: u64 = profile.server_trials;
-    let dedup_clients: usize = profile.server_dedup_clients;
-    let query = |seed: u64| {
-        format!(
-            r#"{{"kind":"parallel","strategy":"optimal","k":8,"ell":16,"budget":4000,"trials":{trials},"seed":{seed}}}"#
-        )
-    };
-
-    let server = Server::start(ServerConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        sim_threads: 2,
-        queue_capacity: 64,
-        cache: CacheConfig {
-            mem_capacity: 256,
-            disk_capacity: 0,
-            dir: None,
-        },
-        default_timeout_ms: 120_000,
-        quiet: true,
-        ..ServerConfig::default()
-    })
-    .expect("server starts");
-    let client = Client::new(&server.addr().to_string());
-
-    let mut cold_bodies = Vec::with_capacity(distinct as usize);
-    let cold_start = Instant::now();
-    for seed in 0..distinct {
-        let response = client.post("/v1/query", &query(seed)).expect("cold query");
-        assert_eq!(response.status, 200, "cold query failed");
-        cold_bodies.push(response.body);
-    }
-    let cold_secs = cold_start.elapsed().as_secs_f64();
-
-    // Cached replays are fast enough (~100 µs each) that one pass over
-    // `distinct` queries is all jitter; time enough rounds for a stable
-    // rate.
-    let cached_rounds: u64 = (1200 / distinct).max(3);
-    let mut replay_identical = true;
-    let cached_start = Instant::now();
-    for _ in 0..cached_rounds {
-        for seed in 0..distinct {
-            let response = client
-                .post("/v1/query", &query(seed))
-                .expect("cached query");
-            assert_eq!(response.status, 200, "cached query failed");
-            replay_identical &= response.body == cold_bodies[seed as usize];
-        }
-    }
-    let cached_secs = cached_start.elapsed().as_secs_f64();
-    let cached_requests = cached_rounds * distinct;
-
-    // Dedup: a fresh key, N clients racing from a barrier.
-    let dedup_body = query(1_000_000);
-    let before = server.stats().simulations_started.get();
-    let barrier = Arc::new(Barrier::new(dedup_clients));
-    let handles: Vec<_> = (0..dedup_clients)
-        .map(|_| {
-            let client = client.clone();
-            let body = dedup_body.clone();
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                client.post("/v1/query", &body).expect("dedup query").status
-            })
-        })
-        .collect();
-    for handle in handles {
-        assert_eq!(handle.join().expect("client thread"), 200);
-    }
-    let dedup_simulations = server.stats().simulations_started.get() - before;
-    let dedup_factor = dedup_clients as f64 / dedup_simulations.max(1) as f64;
-
-    // Wire representation on the warm small-query path: the same cached
-    // replays, negotiated once as JSON and once as the binary levy-wire
-    // form (`Accept: application/x-levy-wire`). Both serve from the
-    // memory tier, so the comparison isolates representation cost —
-    // body size on the socket plus (for JSON) the larger write. The
-    // binary body must transcode back to the JSON bytes exactly.
-    // Enough requests per representation (~1200) that the per-request
-    // delta rises above connection-setup jitter; rounds interleave
-    // JSON/wire so scheduler and thermal drift hit both equally. The
-    // wire leg is binary end-to-end: an encoded query frame in, a
-    // binary result frame out.
-    let wire_rounds: u64 = (2400 / distinct).max(3);
-    let wire_headers = [("accept", levy_wire::MEDIA_TYPE)];
-    let wire_queries: Vec<Vec<u8>> = (0..distinct)
-        .map(|seed| {
-            let parsed = Json::parse(&query(seed)).expect("bench query JSON");
-            let validated = levy_served::Query::from_json(&parsed).expect("bench query valid");
-            levy_served::wirecodec::encode_query(&validated)
-        })
-        .collect();
-    // Untimed verification pass: sizes and exact transcode.
-    let mut wire_body_bytes = 0u64;
-    let mut transcode_identical = true;
-    for seed in 0..distinct {
-        let response = client
-            .request_with_headers("POST", "/v1/query", &wire_headers, query(seed).as_bytes())
-            .expect("wire verify");
-        assert_eq!(response.status, 200, "wire verify failed");
-        if seed == 0 {
-            wire_body_bytes = response.body.len() as u64;
-        }
-        transcode_identical &= levy_served::wirecodec::decode_result_to_json(&response.body)
-            .map(|json| json.to_string_pretty().into_bytes() == cold_bodies[seed as usize])
-            .unwrap_or(false);
-    }
-    // Strict pairwise interleave (json, wire, json, wire, ...) so both
-    // representations sample identical host conditions, then compare
-    // lower-decile exchange times: a robust, reproducible cost floor
-    // (the raw minimum is an extreme order statistic and too jittery on
-    // a shared host; means are polluted by scheduler tail events).
-    let mut json_samples: Vec<f64> = Vec::with_capacity((wire_rounds * distinct) as usize);
-    let mut wire_samples: Vec<f64> = Vec::with_capacity((wire_rounds * distinct) as usize);
-    for _ in 0..wire_rounds {
-        for seed in 0..distinct {
-            let json_start = Instant::now();
-            let response = client.post("/v1/query", &query(seed)).expect("json replay");
-            json_samples.push(json_start.elapsed().as_secs_f64());
-            assert_eq!(response.status, 200, "json replay failed");
-            let encoded = &wire_queries[seed as usize];
-            let wire_start = Instant::now();
-            let response = client
-                .request_full(
-                    "POST",
-                    "/v1/query",
-                    levy_wire::MEDIA_TYPE,
-                    &wire_headers,
-                    encoded,
-                )
-                .expect("wire replay");
-            wire_samples.push(wire_start.elapsed().as_secs_f64());
-            assert_eq!(response.status, 200, "wire replay failed");
-        }
-    }
-    let decile = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        samples[samples.len() / 10]
-    };
-    let wire_requests = wire_rounds * distinct;
-    let json_replay_secs = decile(&mut json_samples);
-    let wire_replay_secs = decile(&mut wire_samples);
-    let json_replay_rps = 1.0 / json_replay_secs;
-    let wire_replay_rps = 1.0 / wire_replay_secs;
-    let wire_speedup = wire_replay_rps / json_replay_rps.max(1e-12);
-    let json_body_bytes = cold_bodies[0].len() as u64;
-    let size_ratio = wire_body_bytes as f64 / json_body_bytes.max(1) as f64;
-    let compression = json_body_bytes as f64 / wire_body_bytes.max(1) as f64;
-    println!(
-        "server: wire {wire_replay_rps:.1} req/s vs json {json_replay_rps:.1} req/s on the cached path -> {wire_speedup:.2}x; \
-         body {wire_body_bytes} B vs {json_body_bytes} B -> {compression:.1}x smaller, transcode identical = {transcode_identical}"
-    );
-
-    let cold_rps = distinct as f64 / cold_secs;
-    let cached_rps = cached_requests as f64 / cached_secs;
-    let cache_speedup = cached_rps / cold_rps.max(1e-12);
-    println!(
-        "server: cold {cold_rps:.1} req/s vs cached {cached_rps:.1} req/s -> {cache_speedup:.1}x; \
-         {dedup_clients} concurrent identical queries cost {dedup_simulations} simulation(s)"
-    );
-    let stats = server.stats().to_json();
-    server.shutdown();
-
-    Json::obj([
-        ("schema", Json::from("levy-bench/server-v1")),
-        ("profile", Json::from(profile.name)),
-        (
-            "workload",
-            Json::obj([
-                (
-                    "query",
-                    Json::from("E6-style: parallel, optimal strategy, k=8, ell=16, budget=4000"),
-                ),
-                ("trials_per_query", Json::from(trials)),
-                ("distinct_queries", Json::from(distinct)),
-                ("workers", Json::from(2u64)),
-                ("sim_threads", Json::from(2u64)),
-            ]),
-        ),
-        (
-            "cold",
-            Json::obj([
-                ("requests", Json::from(distinct)),
-                ("secs", Json::from(cold_secs)),
-                ("requests_per_sec", Json::from(cold_rps)),
-            ]),
-        ),
-        (
-            "cached",
-            Json::obj([
-                ("requests", Json::from(cached_requests)),
-                ("secs", Json::from(cached_secs)),
-                ("requests_per_sec", Json::from(cached_rps)),
-                (
-                    "bodies_byte_identical_to_cold",
-                    Json::from(replay_identical),
-                ),
-            ]),
-        ),
-        ("cache_speedup", Json::from(cache_speedup)),
-        (
-            "wire",
-            Json::obj([
-                (
-                    "path",
-                    Json::from(
-                        "cached small-query replays, JSON vs application/x-levy-wire (binary query in, binary result out)",
-                    ),
-                ),
-                ("rounds", Json::from(wire_rounds)),
-                ("requests_per_representation", Json::from(wire_requests)),
-                ("json_best_request_secs", Json::from(json_replay_secs)),
-                ("wire_best_request_secs", Json::from(wire_replay_secs)),
-                ("json_requests_per_sec", Json::from(json_replay_rps)),
-                ("wire_requests_per_sec", Json::from(wire_replay_rps)),
-                ("speedup", Json::from(wire_speedup)),
-                ("json_body_bytes", Json::from(json_body_bytes)),
-                ("wire_body_bytes", Json::from(wire_body_bytes)),
-                ("size_ratio", Json::from(size_ratio)),
-                ("compression", Json::from(compression)),
-                ("transcode_identical", Json::from(transcode_identical)),
-            ]),
-        ),
-        (
-            "dedup",
-            Json::obj([
-                ("concurrent_clients", Json::from(dedup_clients as u64)),
-                ("simulations", Json::from(dedup_simulations)),
-                ("factor", Json::from(dedup_factor)),
-            ]),
-        ),
-        ("counters", stats),
-        ("smoke", Json::from(profile.reduced())),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,10 +361,6 @@ mod tests {
         assert!(gate.sampler_draws <= full.sampler_draws);
         assert!(smoke.throughput_base < gate.throughput_base);
         assert!(gate.throughput_base <= full.throughput_base);
-        // Scale-sensitive server quantities stay at committed scale in
-        // the gate profile so ratios are comparable.
-        assert_eq!(gate.server_trials, full.server_trials);
-        assert_eq!(gate.server_dedup_clients, full.server_dedup_clients);
         assert!(smoke.reduced() && gate.reduced() && !full.reduced());
     }
 }

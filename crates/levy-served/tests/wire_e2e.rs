@@ -84,9 +84,12 @@ fn wire_negotiated_query_transcodes_to_the_exact_json_body() {
     assert_eq!(wire.body, wirecodec::encode_result(&json_body).unwrap());
     let transcoded = wirecodec::decode_result_to_json(&wire.body).unwrap();
     assert_eq!(transcoded.to_string_pretty(), json.body_string());
+    // The LW1 size ratio is a pure function of the bytes. This body is
+    // 679 B of JSON against 101 B of LW1 (6.7×); 4.88× is 0.70 of the
+    // 6.97× (704 B against 101 B) of the same shape at seed 0.
     assert!(
-        wire.body.len() < json.body.len(),
-        "the wire form ({}) must be smaller than JSON ({})",
+        json.body.len() as f64 >= 4.88 * wire.body.len() as f64,
+        "the wire form ({}) must be at least 4.88x smaller than JSON ({})",
         wire.body.len(),
         json.body.len()
     );
