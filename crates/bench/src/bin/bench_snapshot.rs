@@ -9,9 +9,11 @@
 //! `--smoke` shrinks every workload and writes
 //! under the results directory (`LEVY_RESULTS_DIR`, default `results/`)
 //! instead of the repository root, so CI can exercise the pipeline in
-//! seconds without touching the committed snapshots.
+//! seconds without touching the committed snapshots. Any other flag
+//! exits non-zero with a usage line before anything is measured.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use levy_bench::snapshot::{runner_snapshot, sampler_snapshot, Profile};
 use levy_sim::write_json;
@@ -22,8 +24,32 @@ fn repo_root() -> PathBuf {
         .join("..")
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+/// Parses the flags after the program name: `Ok(true)` for `--smoke`.
+/// Anything else is an error, so a typo never falls through to the full
+/// profile and overwrites the committed snapshots.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut smoke = false;
+    for flag in args {
+        match flag.as_str() {
+            "--smoke" => smoke = true,
+            other => {
+                return Err(format!(
+                    "unknown flag {other}\nusage: bench_snapshot [--smoke]"
+                ))
+            }
+        }
+    }
+    Ok(smoke)
+}
+
+fn main() -> ExitCode {
+    let smoke = match parse_args(std::env::args().skip(1)) {
+        Ok(smoke) => smoke,
+        Err(message) => {
+            eprintln!("bench_snapshot: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
     let profile = if smoke {
         Profile::smoke()
     } else {
@@ -49,4 +75,24 @@ fn main() {
     let sampler_path = out_dir.join("BENCH_sampler.json");
     write_json(&sampler, &sampler_path).expect("write BENCH_sampler.json");
     println!("[written {}]", sampler_path.display());
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(args: &[&str]) -> Result<bool, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn only_smoke_is_accepted() {
+        assert_eq!(parse(&[]), Ok(false));
+        assert_eq!(parse(&["--smoke"]), Ok(true));
+        for bad in [&["--bogus"][..], &["--smoke", "--full"], &["smoke"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("usage: bench_snapshot [--smoke]"), "{err}");
+        }
+    }
 }

@@ -5,21 +5,18 @@
 //! `request`), so a body cached under a key is *the* answer for every
 //! request that canonicalizes to it — seeded determinism makes hits
 //! exact, not approximate. The memory tier is LRU-bounded by entry
-//! count; the disk tier persists bodies as `<dir>/<key>.json` and is
-//! bounded by file count with oldest-written-first eviction (tie-broken
-//! by name). Disk entries survive daemon restarts; a disk hit promotes
-//! the body back into memory.
+//! count and holds both served forms of a result (pretty JSON and its
+//! `levy-wire` LW1 frame), so a memory hit renders nothing.
 //!
-//! Each entry carries **two representations** of the same result: the
-//! pretty-printed JSON envelope (authoritative, validated on every disk
-//! read) and its `levy-wire` binary encoding stored alongside as
-//! `<dir>/<key>.lw`. Wire-negotiated replays serve the `.lw` bytes
-//! exactly as stored — no re-encode on the hit path. A missing or
-//! structurally invalid `.lw` is repaired by deterministically
-//! re-encoding from the JSON body, so the binary tier can never make a
-//! valid entry unservable.
+//! The disk tier stores one file per entry, `<dir>/<key>.lw`: the LW1
+//! frame, which transcodes to the JSON byte-exactly. Its membership is
+//! an in-memory index built by one directory listing when the cache
+//! opens (ordered by mtime, then name); eviction is oldest-written
+//! first, and nothing lists the directory again. A disk hit is one read,
+//! one frame decode and one key check, renders the JSON once, and is
+//! promoted into memory. Entries survive daemon restarts.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,17 +37,14 @@ use crate::wirecodec;
 /// with a real filesystem. [`StdDisk`] is the production
 /// implementation.
 pub trait DiskStore: Send + Sync + std::fmt::Debug {
-    /// Reads a stored body.
-    fn read(&self, path: &Path) -> io::Result<String>;
-    /// Stores a body atomically (readers never observe a torn write).
-    fn write(&self, path: &Path, body: &str) -> io::Result<()>;
-    /// Reads a stored binary sidecar (`.lw` wire encoding).
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Stores a binary sidecar atomically.
-    fn write_bytes(&self, path: &Path, body: &[u8]) -> io::Result<()>;
-    /// Removes a stored body.
+    /// Reads a stored `.lw` entry.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Stores an entry atomically (readers never observe a torn write).
+    fn write(&self, path: &Path, body: &[u8]) -> io::Result<()>;
+    /// Removes a stored entry.
     fn remove(&self, path: &Path) -> io::Result<()>;
-    /// Lists stored entries as `(modified, path)` pairs.
+    /// Lists stored `.lw` entries as `(modified, path)` pairs. The cache
+    /// calls it once, when it opens.
     fn list(&self, dir: &Path) -> io::Result<Vec<(SystemTime, PathBuf)>>;
 }
 
@@ -59,25 +53,14 @@ pub trait DiskStore: Send + Sync + std::fmt::Debug {
 pub struct StdDisk;
 
 impl DiskStore for StdDisk {
-    fn read(&self, path: &Path) -> io::Result<String> {
-        fs::read_to_string(path)
-    }
-
-    fn write(&self, path: &Path, body: &str) -> io::Result<()> {
-        // Write-then-rename so concurrent readers never observe a
-        // torn body.
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, path))
-    }
-
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
     }
 
-    fn write_bytes(&self, path: &Path, body: &[u8]) -> io::Result<()> {
-        // Distinct temp extension: `<key>.json` and `<key>.lw` would
-        // otherwise collide on the same `<key>.tmp` staging file.
-        let tmp = path.with_extension("lw.tmp");
+    fn write(&self, path: &Path, body: &[u8]) -> io::Result<()> {
+        // Write-then-rename so concurrent readers never observe a
+        // torn body.
+        let tmp = path.with_extension("tmp");
         fs::write(&tmp, body).and_then(|()| fs::rename(&tmp, path))
     }
 
@@ -88,7 +71,7 @@ impl DiskStore for StdDisk {
     fn list(&self, dir: &Path) -> io::Result<Vec<(SystemTime, PathBuf)>> {
         Ok(fs::read_dir(dir)?
             .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+            .filter(|e| e.path().extension().is_some_and(|x| x == "lw"))
             .filter_map(|e| {
                 let modified = e.metadata().and_then(|m| m.modified()).ok()?;
                 Some((modified, e.path()))
@@ -140,10 +123,11 @@ impl Default for CacheConfig {
 /// A cached result in both of its representations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedBody {
-    /// The pretty-printed JSON envelope (authoritative representation).
+    /// The pretty-printed JSON envelope.
     pub json: String,
-    /// The `levy-wire` binary encoding of the same envelope; `None`
-    /// when the body is not an encodable `result-v1` envelope.
+    /// The `levy-wire` binary encoding of the same envelope — the form
+    /// the disk tier stores; `None` when the body is not an encodable
+    /// `result-v1` envelope, and such a body stays in memory only.
     pub wire: Option<Vec<u8>>,
 }
 
@@ -160,6 +144,19 @@ impl CachedBody {
             wire,
         }
     }
+
+    /// Both representations of `json` if it is the intact `result-v1`
+    /// envelope for `key`: [`wirecodec::result_to_frame`] accepts it (its
+    /// embedded query parses and hashes to its key) and that key is
+    /// `key`. Replica writes from peers pass through here, so a bad peer
+    /// can never poison the cache.
+    pub(crate) fn for_key(key: &str, json: &str) -> Option<CachedBody> {
+        let frame = wirecodec::result_to_frame(&Json::parse(json).ok()?).ok()?;
+        (levy_wire::key_to_hex(&frame.query.key) == key).then(|| CachedBody {
+            json: json.to_owned(),
+            wire: Some(levy_wire::Frame::Result(frame).encode()),
+        })
+    }
 }
 
 /// LRU entries: body plus a recency tick.
@@ -168,12 +165,89 @@ struct MemEntry {
     tick: u64,
 }
 
+/// The disk tier's membership in write order, so the oldest-written
+/// entry is evicted first.
+#[derive(Default)]
+struct DiskIndex {
+    written: HashMap<String, u64>,
+    order: BTreeMap<u64, String>,
+    next: u64,
+}
+
+impl DiskIndex {
+    /// Files `key` as the newest entry; a rewrite moves it to the end.
+    fn insert(&mut self, key: &str) {
+        let seq = self.next;
+        self.next += 1;
+        if let Some(old) = self.written.insert(key.to_owned(), seq) {
+            self.order.remove(&old);
+        }
+        self.order.insert(seq, key.to_owned());
+    }
+
+    fn remove(&mut self, key: &str) {
+        if let Some(seq) = self.written.remove(key) {
+            self.order.remove(&seq);
+        }
+    }
+
+    fn pop_oldest(&mut self) -> Option<String> {
+        let (_, key) = self.order.pop_first()?;
+        self.written.remove(&key);
+        Some(key)
+    }
+}
+
+/// An enabled disk tier: its directory and the index of its entries.
+struct DiskTier {
+    dir: PathBuf,
+    index: Mutex<DiskIndex>,
+}
+
+impl DiskTier {
+    /// Indexes the `.lw` entries already in `dir`, oldest-written first
+    /// (ties broken by name), with one listing.
+    fn open(store: &dyn DiskStore, dir: PathBuf) -> io::Result<DiskTier> {
+        let mut files = store.list(&dir)?;
+        files.sort();
+        let mut index = DiskIndex::default();
+        for (_, path) in files {
+            if let Some(key) = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .filter(|k| is_key(k))
+            {
+                index.insert(key);
+            }
+        }
+        Ok(DiskTier {
+            dir,
+            index: Mutex::new(index),
+        })
+    }
+
+    fn index(&self) -> std::sync::MutexGuard<'_, DiskIndex> {
+        self.index.lock().expect("disk index lock")
+    }
+
+    fn path(&self, key: &str) -> PathBuf {
+        self.dir.join(format!("{key}.lw"))
+    }
+}
+
+/// Keys are generated hex internally, but they are revalidated before
+/// one is used as a file name: this is the only untrusted-input boundary.
+fn is_key(key: &str) -> bool {
+    key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
 /// The two-tier result cache. All methods are `&self`; internal state is
 /// mutex-protected so handler and worker threads share one instance.
 pub struct ResultCache {
     config: CacheConfig,
     store: Arc<dyn DiskStore>,
     mem: Mutex<HashMap<String, MemEntry>>,
+    disk: Option<DiskTier>,
     clock: AtomicU64,
     mem_hits: Counter,
     disk_hits: Counter,
@@ -193,15 +267,20 @@ impl ResultCache {
     }
 
     /// Creates the cache over an explicit [`DiskStore`] (fault
-    /// injection and tests).
+    /// injection and tests), indexing the entries already on disk.
     pub fn with_store(config: CacheConfig, store: Arc<dyn DiskStore>) -> io::Result<ResultCache> {
+        let mut disk = None;
         if let Some(dir) = &config.dir {
             fs::create_dir_all(dir)?;
+            if config.disk_capacity > 0 {
+                disk = Some(DiskTier::open(&*store, dir.clone())?);
+            }
         }
         Ok(ResultCache {
             config,
             store,
             mem: Mutex::new(HashMap::new()),
+            disk,
             clock: AtomicU64::new(0),
             mem_hits: Counter::new(),
             disk_hits: Counter::new(),
@@ -263,56 +342,38 @@ impl ResultCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn disk_path(&self, key: &str) -> Option<PathBuf> {
-        // Keys are generated hex internally, but revalidate before using
-        // one as a file name: this is the only untrusted-input boundary.
-        if !(key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit())) {
-            return None;
+    fn disk_path(&self, key: &str) -> Option<(&DiskTier, PathBuf)> {
+        let disk = self.disk.as_ref().filter(|_| is_key(key))?;
+        Some((disk, disk.path(key)))
+    }
+
+    /// Files `key` in the disk index — as the newest entry when it was
+    /// just `written`, otherwise only if the index does not hold it yet —
+    /// then evicts oldest-written entries past capacity.
+    fn index_entry(&self, disk: &DiskTier, key: &str, written: bool) {
+        let mut index = disk.index();
+        if !written && index.written.contains_key(key) {
+            return;
         }
-        self.config
-            .dir
-            .as_ref()
-            .filter(|_| self.config.disk_capacity > 0)
-            .map(|dir| dir.join(format!("{key}.json")))
-    }
-
-    /// `.lw` sidecar path for a `.json` entry path.
-    fn wire_sibling(path: &Path) -> PathBuf {
-        path.with_extension("lw")
-    }
-
-    /// Loads the wire representation for a disk hit: the stored `.lw`
-    /// bytes when they are structurally intact and self-identify with
-    /// `key`, else a deterministic re-encode from the validated JSON
-    /// body (repairing the sidecar on the way).
-    fn disk_wire(&self, key: &str, json_path: &Path, json_body: &str) -> Option<Vec<u8>> {
-        let lw = Self::wire_sibling(json_path);
-        if let Ok(bytes) = self.store.read_bytes(&lw) {
-            if wire_body_is_valid(key, &bytes) {
-                return Some(bytes);
+        index.insert(key);
+        while index.written.len() > self.config.disk_capacity {
+            let Some(oldest) = index.pop_oldest() else {
+                break;
+            };
+            if self.store.remove(&disk.path(&oldest)).is_ok() {
+                self.evictions.inc();
             }
-            self.corrupt_entries.inc();
-            let _ = self.store.remove(&lw);
-            levy_obs::log::warn(
-                "levy-served",
-                "corrupt wire sidecar dropped, re-encoding",
-                &[("key", key.to_owned()), ("path", lw.display().to_string())],
-            );
         }
-        let wire = CachedBody::from_json(json_body).wire;
-        if let Some(bytes) = &wire {
-            let _ = self.store.write_bytes(&lw, bytes);
-        }
-        wire
     }
 
     /// Looks up a body; `None` on miss.
     ///
-    /// Disk bodies are validated before they are replayed: an entry
-    /// that is not the intact result stored for `key` (truncated,
-    /// bit-rotted, or written under the wrong name) is dropped from
-    /// disk, counted in `corrupt_entries`, and reported as a miss so
-    /// the simulation reruns instead of serving garbage.
+    /// A lookup that reaches the disk tier reads once, indexed or not,
+    /// so fault plans number one read per lookup. The frame is replayed
+    /// only if it decodes and the key re-derived from its embedded query
+    /// (not its stored key bytes) is `key`. Anything else is removed from
+    /// disk and index, counted in `corrupt_entries`, and reported as a
+    /// miss so the simulation reruns; a vanished file is a clean miss.
     pub fn get(&self, key: &str) -> Option<(CachedBody, CacheTier)> {
         if self.config.mem_capacity > 0 {
             let mut mem = self.mem.lock().expect("cache lock");
@@ -322,31 +383,34 @@ impl ResultCache {
                 return Some((entry.body.clone(), CacheTier::Memory));
             }
         }
-        if let Some(path) = self.disk_path(key) {
+        if let Some((disk, path)) = self.disk_path(key) {
             match self.store.read(&path) {
-                Ok(body) if disk_body_is_valid(key, &body) => {
-                    self.disk_hits.inc();
-                    let cached = CachedBody {
-                        wire: self.disk_wire(key, &path, &body),
-                        json: body,
-                    };
-                    self.insert_mem(key, &cached);
-                    return Some((cached, CacheTier::Disk));
-                }
-                Ok(_) => {
-                    self.corrupt_entries.inc();
-                    let _ = self.store.remove(&path);
-                    let _ = self.store.remove(&Self::wire_sibling(&path));
-                    levy_obs::log::warn(
-                        "levy-served",
-                        "corrupt disk cache entry dropped",
-                        &[
-                            ("key", key.to_owned()),
-                            ("path", path.display().to_string()),
-                        ],
-                    );
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Ok(wire) => match wirecodec::decode_result_with_key(&wire) {
+                    Ok((envelope, derived)) if derived == key => {
+                        self.disk_hits.inc();
+                        self.index_entry(disk, key, false);
+                        let cached = CachedBody {
+                            json: envelope.to_string_pretty(),
+                            wire: Some(wire),
+                        };
+                        self.insert_mem(key, &cached);
+                        return Some((cached, CacheTier::Disk));
+                    }
+                    _ => {
+                        self.corrupt_entries.inc();
+                        let _ = self.store.remove(&path);
+                        disk.index().remove(key);
+                        levy_obs::log::warn(
+                            "levy-served",
+                            "corrupt disk cache entry dropped",
+                            &[
+                                ("key", key.to_owned()),
+                                ("path", path.display().to_string()),
+                            ],
+                        );
+                    }
+                },
+                Err(e) if e.kind() == io::ErrorKind::NotFound => disk.index().remove(key),
                 Err(e) => {
                     self.disk_errors.inc();
                     levy_obs::log::warn(
@@ -364,19 +428,24 @@ impl ResultCache {
         None
     }
 
-    /// Stores a body under `key` in both tiers, deriving and persisting
-    /// the wire encoding alongside the JSON.
+    /// Stores a body under `key` in both tiers, deriving the wire
+    /// encoding the disk tier stores.
     pub fn put(&self, key: &str, body: &str) {
         self.put_body(key, &CachedBody::from_json(body));
     }
 
     /// [`put`](ResultCache::put) with both representations already built
-    /// (workers encode once and share the result with their waiters).
+    /// (workers encode once and share the result with their waiters). A
+    /// body without a wire form is kept in memory only.
     pub fn put_body(&self, key: &str, cached: &CachedBody) {
         self.insertions.inc();
         self.insert_mem(key, cached);
-        if let Some(path) = self.disk_path(key) {
-            if let Err(e) = self.store.write(&path, &cached.json) {
+        let (Some((disk, path)), Some(wire)) = (self.disk_path(key), &cached.wire) else {
+            return;
+        };
+        match self.store.write(&path, wire) {
+            Ok(()) => self.index_entry(disk, key, true),
+            Err(e) => {
                 self.disk_errors.inc();
                 levy_obs::log::warn(
                     "levy-served",
@@ -386,24 +455,7 @@ impl ResultCache {
                         ("error", e.to_string()),
                     ],
                 );
-                return;
             }
-            if let Some(wire) = &cached.wire {
-                if let Err(e) = self.store.write_bytes(&Self::wire_sibling(&path), wire) {
-                    // The JSON tier is authoritative; a failed sidecar
-                    // write only costs a re-encode on later hits.
-                    self.disk_errors.inc();
-                    levy_obs::log::warn(
-                        "levy-served",
-                        "wire sidecar write failed",
-                        &[
-                            ("path", path.display().to_string()),
-                            ("error", e.to_string()),
-                        ],
-                    );
-                }
-            }
-            self.enforce_disk_capacity();
         }
     }
 
@@ -433,25 +485,6 @@ impl ResultCache {
             .set(i64::try_from(mem.len()).unwrap_or(i64::MAX));
     }
 
-    fn enforce_disk_capacity(&self) {
-        let Some(dir) = &self.config.dir else { return };
-        let Ok(mut files) = self.store.list(dir) else {
-            return;
-        };
-        if files.len() <= self.config.disk_capacity {
-            return;
-        }
-        files.sort();
-        let excess = files.len() - self.config.disk_capacity;
-        for (_, path) in files.into_iter().take(excess) {
-            if self.store.remove(&path).is_ok() {
-                self.evictions.inc();
-            }
-            // Evict the wire sidecar with its JSON entry.
-            let _ = self.store.remove(&Self::wire_sibling(&path));
-        }
-    }
-
     /// Entries currently in the memory tier.
     pub fn mem_len(&self) -> usize {
         self.mem.lock().expect("cache lock").len()
@@ -459,20 +492,22 @@ impl ResultCache {
 
     /// Whether `key` is cached in either tier, without promoting it or
     /// counting a hit/miss. Replica writes and the handoff scanner use
-    /// this to stay idempotent. The disk probe checks file presence
-    /// directly rather than going through [`DiskStore::read`]: a fault
-    /// plan's read schedule must not be consumed by presence checks.
+    /// this to stay idempotent. The disk probe asks the index, never the
+    /// store: a fault plan's read schedule must not be consumed by
+    /// presence checks.
     pub fn contains(&self, key: &str) -> bool {
         if self.config.mem_capacity > 0 && self.mem.lock().expect("cache lock").contains_key(key) {
             return true;
         }
-        self.disk_path(key).is_some_and(|p| p.exists())
+        self.disk
+            .as_ref()
+            .is_some_and(|disk| disk.index().written.contains_key(key))
     }
 
     /// Keys currently cached in either tier, deduplicated and sorted.
-    /// The handoff scanner walks this list when membership changes; only
-    /// well-formed 32-hex names are reported, so stray files in the
-    /// cache directory never become transfer candidates.
+    /// The handoff scanner walks this list when membership changes; the
+    /// disk index holds only well-formed 32-hex names, so stray files in
+    /// the cache directory never become transfer candidates.
     pub fn keys(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .mem
@@ -481,21 +516,8 @@ impl ResultCache {
             .keys()
             .cloned()
             .collect();
-        if let Some(dir) = self
-            .config
-            .dir
-            .as_ref()
-            .filter(|_| self.config.disk_capacity > 0)
-        {
-            if let Ok(files) = self.store.list(dir) {
-                for (_, path) in files {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        if stem.len() == 32 && stem.bytes().all(|b| b.is_ascii_hexdigit()) {
-                            out.push(stem.to_owned());
-                        }
-                    }
-                }
-            }
+        if let Some(disk) = &self.disk {
+            out.extend(disk.index().written.keys().cloned());
         }
         out.sort_unstable();
         out.dedup();
@@ -508,10 +530,7 @@ impl ResultCache {
             ("mem_entries", Json::from(self.mem_len())),
             ("mem_capacity", Json::from(self.config.mem_capacity)),
             ("disk_capacity", Json::from(self.config.disk_capacity)),
-            (
-                "disk_enabled",
-                Json::from(self.config.dir.is_some() && self.config.disk_capacity > 0),
-            ),
+            ("disk_enabled", Json::from(self.disk.is_some())),
             ("mem_hits", Json::from(self.mem_hits.get())),
             ("disk_hits", Json::from(self.disk_hits.get())),
             ("misses", Json::from(self.misses.get())),
@@ -520,31 +539,6 @@ impl ResultCache {
             ("corrupt_entries", Json::from(self.corrupt_entries.get())),
             ("disk_errors", Json::from(self.disk_errors.get())),
         ])
-    }
-}
-
-/// An intact disk body is the `result-v1` envelope the engine stored for
-/// `key`: parseable JSON that [`wirecodec::result_to_frame`] accepts —
-/// schema tag, a result of a known mode, and an embedded canonical query
-/// that parses and hashes to the envelope's key — with that key equal to
-/// the one it is filed under. Anything else — truncated JSON, bit rot, a
-/// file renamed onto the wrong key, an envelope whose query was edited —
-/// fails here and is treated as a miss rather than replayed.
-pub(crate) fn disk_body_is_valid(key: &str, body: &str) -> bool {
-    Json::parse(body)
-        .ok()
-        .and_then(|parsed| wirecodec::result_to_frame(&parsed).ok())
-        .is_some_and(|frame| levy_wire::key_to_hex(&frame.query.key) == key)
-}
-
-/// An intact `.lw` sidecar decodes as a wire `Result` frame whose
-/// embedded query key matches the key it is filed under. Structural
-/// damage (truncation, bit flips in the framing, a sidecar renamed onto
-/// the wrong key) fails here and triggers a re-encode from JSON.
-fn wire_body_is_valid(key: &str, bytes: &[u8]) -> bool {
-    match levy_wire::Frame::decode(bytes) {
-        Ok(levy_wire::Frame::Result(frame)) => levy_wire::key_to_hex(&frame.query.key) == key,
-        _ => false,
     }
 }
 
@@ -573,6 +567,11 @@ mod tests {
         (query.cache_key(), body)
     }
 
+    /// The LW1 frame the disk tier stores for an envelope.
+    fn frame_of(body: &str) -> Vec<u8> {
+        CachedBody::from_json(body).wire.expect("envelopes encode")
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "levy-served-cache-test-{tag}-{}",
@@ -580,6 +579,10 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    fn stat(cache: &ResultCache, name: &str) -> Option<u64> {
+        cache.stats_json().get(name).unwrap().as_u64()
     }
 
     #[test]
@@ -648,21 +651,21 @@ mod tests {
         })
         .unwrap();
         let (k, good) = envelope(9);
-        let path = dir.join(format!("{k}.json"));
-        let (_, wrong_key) = envelope(10);
+        let path = dir.join(format!("{k}.lw"));
+        let good_frame = frame_of(&good);
+        let other_key = frame_of(&envelope(10).1);
         for bad in [
-            "not json at all",
-            "{\"schema\": \"levy-served/result-v1\"}", // no key
-            wrong_key.as_str(),
-            &good[..good.len() / 2], // truncated
+            b"not a frame at all".to_vec(),
+            good_frame[..good_frame.len() / 2].to_vec(), // truncated
+            crate::fault::scramble_bytes(&good_frame),   // bit rot
+            other_key,                                   // filed under the wrong key
         ] {
-            fs::write(&path, bad).unwrap();
+            fs::write(&path, &bad).unwrap();
             assert!(cache.get(&k).is_none(), "{bad:?} must not be replayed");
             assert!(!path.exists(), "{bad:?} must be removed from disk");
         }
-        let stats = cache.stats_json();
-        assert_eq!(stats.get("corrupt_entries").unwrap().as_u64(), Some(4));
-        assert_eq!(stats.get("misses").unwrap().as_u64(), Some(4));
+        assert_eq!(stat(&cache, "corrupt_entries"), Some(4));
+        assert_eq!(stat(&cache, "misses"), Some(4));
         // An intact body still round-trips.
         cache.put(&k, &good);
         let (got, tier) = cache.get(&k).unwrap();
@@ -685,22 +688,27 @@ mod tests {
         .unwrap();
         let (k, good) = envelope(11);
         cache.put(&k, &good);
-        let path = dir.join(format!("{k}.json"));
-        let lw = dir.join(format!("{k}.lw"));
-        assert!(lw.exists(), "intact sidecar stored");
-        // Same schema, same key, same result: only the embedded query's
-        // seed differs, so the body answers some other query.
-        let altered = good.replacen("\"seed\": 11", "\"seed\": 12", 1);
-        assert_ne!(altered, good);
+        let path = dir.join(format!("{k}.lw"));
+        // Same key bytes, same result: only the embedded query's seed
+        // differs, so the frame answers some other query.
+        let Ok(levy_wire::Frame::Result(mut frame)) =
+            levy_wire::Frame::decode(&fs::read(&path).unwrap())
+        else {
+            panic!("stored entry is a result frame");
+        };
+        assert_eq!(frame.query.seed, 11);
+        frame.query.seed = 12;
+        let altered = levy_wire::Frame::Result(frame).encode();
+        assert_ne!(altered, frame_of(&good));
         fs::write(&path, &altered).unwrap();
         assert!(
             cache.get(&k).is_none(),
-            "an envelope whose query hashes elsewhere must not be replayed"
+            "a frame whose query hashes elsewhere must not be replayed"
         );
-        assert!(!path.exists() && !lw.exists(), "entry and sidecar dropped");
-        let stats = cache.stats_json();
-        assert_eq!(stats.get("corrupt_entries").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("misses").unwrap().as_u64(), Some(1));
+        assert!(!path.exists(), "entry dropped from disk");
+        assert!(!cache.contains(&k), "entry dropped from the index");
+        assert_eq!(stat(&cache, "corrupt_entries"), Some(1));
+        assert_eq!(stat(&cache, "misses"), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -714,12 +722,13 @@ mod tests {
         })
         .unwrap();
         for i in 0..6 {
-            cache.put(&key(i), &format!("body-{i}"));
+            let (k, body) = envelope(i);
+            cache.put(&k, &body);
         }
         let files = fs::read_dir(&dir)
             .unwrap()
             .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
+            .filter(|e| e.path().extension().is_some_and(|x| x == "lw"))
             .count();
         assert!(files <= 3, "disk tier kept {files} files over capacity 3");
         let _ = fs::remove_dir_all(&dir);
@@ -746,14 +755,15 @@ mod tests {
             dir: Some(dir.clone()),
         })
         .unwrap();
-        cache.put("../../etc/passwd", "nope");
-        cache.put("short", "nope");
+        let (_, body) = envelope(1);
+        cache.put("../../etc/passwd", &body);
+        cache.put("short", &body);
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wire_sidecar_is_stored_and_replayed_byte_exactly() {
+    fn wire_entry_is_stored_and_replayed_byte_exactly() {
         let dir = temp_dir("wire");
         let config = CacheConfig {
             mem_capacity: 4,
@@ -763,72 +773,22 @@ mod tests {
         let (k, body) = envelope(1);
         let cache = ResultCache::new(config.clone()).unwrap();
         cache.put(&k, &body);
-        let lw = dir.join(format!("{k}.lw"));
-        let on_disk = fs::read(&lw).expect("wire sidecar written");
+        let on_disk = fs::read(dir.join(format!("{k}.lw"))).expect("wire entry written");
         assert!(levy_wire::Frame::decode(&on_disk).is_ok());
-        // A fresh instance replays the exact on-disk bytes.
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert_eq!(names.len(), 1, "one file per entry, got {names:?}");
+        // A fresh instance replays the exact on-disk bytes and renders
+        // the exact JSON body from them.
         drop(cache);
         let reborn = ResultCache::new(config).unwrap();
         let (got, tier) = reborn.get(&k).unwrap();
         assert_eq!(tier, CacheTier::Disk);
         assert_eq!(got.json, body);
         assert_eq!(got.wire.as_deref(), Some(&on_disk[..]));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_wire_sidecar_is_repaired_from_json() {
-        let dir = temp_dir("wire-repair");
-        let config = CacheConfig {
-            mem_capacity: 0,
-            disk_capacity: 16,
-            dir: Some(dir.clone()),
-        };
-        let (k, body) = envelope(1);
-        let cache = ResultCache::new(config).unwrap();
-        cache.put(&k, &body);
-        let lw = dir.join(format!("{k}.lw"));
-        let good = fs::read(&lw).unwrap();
-        for bad in [&b"garbage"[..], &good[..good.len() / 2]] {
-            fs::write(&lw, bad).unwrap();
-            let (got, _) = cache.get(&k).expect("JSON tier still authoritative");
-            assert_eq!(
-                got.wire.as_deref(),
-                Some(&good[..]),
-                "wire must be re-encoded deterministically from JSON"
-            );
-            assert_eq!(fs::read(&lw).unwrap(), good, "sidecar must be repaired");
-        }
-        // Deleting the sidecar entirely also repairs it.
-        fs::remove_file(&lw).unwrap();
-        let (got, _) = cache.get(&k).unwrap();
-        assert_eq!(got.wire.as_deref(), Some(&good[..]));
-        assert!(lw.exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_eviction_removes_wire_siblings() {
-        let dir = temp_dir("wire-evict");
-        let cache = ResultCache::new(CacheConfig {
-            mem_capacity: 1,
-            disk_capacity: 2,
-            dir: Some(dir.clone()),
-        })
-        .unwrap();
-        let (k, body) = envelope(1);
-        cache.put(&k, &body);
-        assert!(dir.join(format!("{k}.lw")).exists());
-        for seed in 2..6 {
-            let (k, body) = envelope(seed);
-            cache.put(&k, &body);
-            // Distinct mtimes so eviction order is deterministic.
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(
-            !dir.join(format!("{k}.lw")).exists(),
-            "evicting a JSON entry must take its wire sidecar with it"
-        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -417,12 +417,18 @@ impl fmt::Display for FaultPlan {
 }
 
 /// Deterministically scrambles a body while keeping it printable ASCII
-/// (so it still round-trips through `String`): the shape of bit rot the
-/// disk-read corruption fault replays.
+/// (so it still round-trips through `String`).
 pub fn scramble(body: &str) -> String {
-    body.bytes()
-        .map(|b| (((b ^ 0x2a) % 94) + 33) as char)
+    scramble_bytes(body.as_bytes())
+        .into_iter()
+        .map(char::from)
         .collect()
+}
+
+/// [`scramble`] on raw bytes: the shape of bit rot the disk-read
+/// corruption fault replays on a stored `.lw` frame.
+pub(crate) fn scramble_bytes(body: &[u8]) -> Vec<u8> {
+    body.iter().map(|b| ((b ^ 0x2a) % 94) + 33).collect()
 }
 
 /// Wraps a stream so reads/writes error after exact byte budgets.
@@ -514,7 +520,10 @@ impl FaultDisk {
 }
 
 impl DiskStore for FaultDisk {
-    fn read(&self, path: &Path) -> io::Result<String> {
+    // The disk tier stores one `.lw` file per entry, read once per
+    // lookup and written once per put, so `disk_read_*@read=N` and
+    // `disk_write_error@write=N` number exactly those operations.
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         // The real read happens first so plan indices advance the same
         // way whether or not the entry exists.
         let body = self.real.read(path);
@@ -522,34 +531,19 @@ impl DiskStore for FaultDisk {
             None => body,
             Some(DiskReadFault::Error) => Err(io::Error::other("injected disk read fault")),
             Some(DiskReadFault::Truncate(keep)) => {
-                let body = body?;
-                let mut keep = usize::try_from(keep).unwrap_or(usize::MAX).min(body.len());
-                while !body.is_char_boundary(keep) {
-                    keep -= 1;
-                }
-                Ok(body[..keep].to_owned())
+                let mut body = body?;
+                body.truncate(usize::try_from(keep).unwrap_or(usize::MAX));
+                Ok(body)
             }
-            Some(DiskReadFault::Corrupt) => Ok(scramble(&body?)),
+            Some(DiskReadFault::Corrupt) => Ok(scramble_bytes(&body?)),
         }
     }
 
-    fn write(&self, path: &Path, body: &str) -> io::Result<()> {
+    fn write(&self, path: &Path, body: &[u8]) -> io::Result<()> {
         if self.plan.next_disk_write_fails() {
             return Err(io::Error::other("injected disk write fault"));
         }
         self.real.write(path, body)
-    }
-
-    // Binary sidecar I/O passes through untouched: fault indices
-    // (`disk_read_*@read=N`, `disk_write_error@write=N`) address only
-    // the authoritative `.json` tier, so adding the `.lw` tier cannot
-    // renumber existing fault plans.
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.real.read_bytes(path)
-    }
-
-    fn write_bytes(&self, path: &Path, body: &[u8]) -> io::Result<()> {
-        self.real.write_bytes(path, body)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -720,5 +714,6 @@ mod tests {
         assert_ne!(a, body);
         assert!(levy_sim::Json::parse(&a).is_err());
         assert!(a.bytes().all(|b| (33..127).contains(&b)));
+        assert_eq!(scramble_bytes(body.as_bytes()), a.as_bytes());
     }
 }

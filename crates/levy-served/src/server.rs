@@ -1618,9 +1618,10 @@ fn handle_peers_change(request: &Request, inner: &Arc<Inner>) -> Response {
 
 /// `PUT /v1/cache/<key>`: a replica write from a peer (write-behind or
 /// handoff). The body must be the intact `result-v1` envelope for
-/// `key` — the same validation disk reads get — so a bad peer can
-/// never poison the cache. 201 = stored fresh, 200 = already held
-/// (the idempotence signal handoff counting relies on).
+/// `key` ([`CachedBody::for_key`]), so a bad peer can never poison the
+/// cache; the home stores the frame that check produced. 201 = stored
+/// fresh, 200 = already held (the idempotence signal handoff counting
+/// relies on).
 fn handle_replica_put(request: &Request, inner: &Arc<Inner>, key: &str) -> Response {
     let Some(cluster) = &inner.cluster else {
         return Response::error(404, "not in cluster mode (start levyd with --cluster)");
@@ -1637,15 +1638,15 @@ fn handle_replica_put(request: &Request, inner: &Arc<Inner>, key: &str) -> Respo
         inner.stats.invalid_requests.inc();
         return Response::error(400, "replica writes carry a UTF-8 JSON result body");
     };
-    if !crate::cache::disk_body_is_valid(key, body) {
+    let Some(cached) = CachedBody::for_key(key, body) else {
         inner.stats.invalid_requests.inc();
         return Response::error(400, "body is not the intact result envelope for that key");
-    }
+    };
     if inner.cache.contains(key) {
         return Response::json(200, &Json::obj([("status", Json::from("already_cached"))]))
             .with_header("X-Levy-Key", key);
     }
-    inner.cache.put(key, body);
+    inner.cache.put_body(key, &cached);
     Response::json(201, &Json::obj([("status", Json::from("stored"))]))
         .with_header("X-Levy-Key", key)
 }

@@ -229,8 +229,19 @@ pub fn result_frame_to_json(frame: &ResultFrame) -> Result<Json, String> {
 
 /// Decodes a binary result frame back to its exact pretty JSON body.
 pub fn decode_result_to_json(bytes: &[u8]) -> Result<Json, String> {
+    decode_result_with_key(bytes).map(|(json, _)| json)
+}
+
+/// [`decode_result_to_json`] that also returns the canonical key
+/// re-derived from the embedded query (which the decode has already
+/// checked against the embedded key bytes).
+pub(crate) fn decode_result_with_key(bytes: &[u8]) -> Result<(Json, String), String> {
     match Frame::decode(bytes).map_err(|e| e.to_string())? {
-        Frame::Result(frame) => result_frame_to_json(&frame),
+        Frame::Result(frame) => {
+            let (query, key) = query_from_frame_with_key(&frame.query)?;
+            let json = render_envelope(&query, &key, &frame.body);
+            Ok((json, key))
+        }
         other => Err(format!(
             "expected a result frame, got {}",
             frame_kind_name(&other)

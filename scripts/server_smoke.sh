@@ -10,7 +10,10 @@
 #   5. fetch the cold query's trace by id (levyc prints `trace: <id>` on
 #      stderr) and require a span tree with cache_probe and worker_exec,
 #      plus the trace listing at GET /v1/traces;
-#   6. SIGTERM the daemon and require a clean (0) exit.
+#   6. SIGTERM the daemon and require a clean (0) exit;
+#   7. restart it on the same --cache-dir with no memory tier and require
+#      a JSON and a --wire replay to hit the disk tier, byte-identical to
+#      the cold body; then SIGTERM it again.
 #
 # Usage: scripts/server_smoke.sh [path-to-target-dir]
 #   Binaries are taken from $1/release (default: target/release); build
@@ -34,19 +37,38 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# 1. Start on an ephemeral port; parse the advertised address.
-"$LEVYD" --addr 127.0.0.1:0 --workers 2 --cache-dir "$WORKDIR/cache" \
-  >"$WORKDIR/levyd.out" 2>"$WORKDIR/levyd.log" &
-LEVYD_PID=$!
-ADDR=""
-for _ in $(seq 1 100); do
-  ADDR="$(sed -n 's/^levyd listening on //p' "$WORKDIR/levyd.out")"
-  [ -n "$ADDR" ] && break
-  kill -0 "$LEVYD_PID" 2>/dev/null || { echo "levyd died on startup:" >&2; cat "$WORKDIR/levyd.log" >&2; exit 1; }
-  sleep 0.1
-done
-[ -n "$ADDR" ] || { echo "levyd never advertised an address" >&2; exit 1; }
-echo "levyd up at $ADDR (pid $LEVYD_PID)"
+# Starts levyd on an ephemeral port over the shared cache directory
+# (extra flags pass through) and parses the advertised address.
+start_levyd() {
+  "$LEVYD" --addr 127.0.0.1:0 --workers 2 --cache-dir "$WORKDIR/cache" "$@" \
+    >"$WORKDIR/levyd.out" 2>"$WORKDIR/levyd.log" &
+  LEVYD_PID=$!
+  ADDR=""
+  for _ in $(seq 1 100); do
+    ADDR="$(sed -n 's/^levyd listening on //p' "$WORKDIR/levyd.out")"
+    [ -n "$ADDR" ] && break
+    kill -0 "$LEVYD_PID" 2>/dev/null || { echo "levyd died on startup:" >&2; cat "$WORKDIR/levyd.log" >&2; exit 1; }
+    sleep 0.1
+  done
+  [ -n "$ADDR" ] || { echo "levyd never advertised an address" >&2; exit 1; }
+  echo "levyd up at $ADDR (pid $LEVYD_PID)"
+}
+
+# SIGTERMs levyd and requires a clean (0) exit status.
+stop_levyd() {
+  kill -TERM "$LEVYD_PID"
+  STATUS=0
+  wait "$LEVYD_PID" || STATUS=$?
+  LEVYD_PID=""
+  [ "$STATUS" -eq 0 ] || {
+    echo "levyd exited with status $STATUS on SIGTERM:" >&2
+    cat "$WORKDIR/levyd.log" >&2
+    exit 1
+  }
+}
+
+# 1. Start on an ephemeral port.
+start_levyd
 
 # 2. Health check.
 "$LEVYC" --addr "$ADDR" health >/dev/null
@@ -136,14 +158,28 @@ grep -q "$TRACE_ID" "$WORKDIR/traces.json" || {
 echo "trace: $TRACE_ID has a full span tree and appears in the listing"
 
 # 6. Graceful SIGTERM shutdown with a clean exit status.
-kill -TERM "$LEVYD_PID"
-STATUS=0
-wait "$LEVYD_PID" || STATUS=$?
-LEVYD_PID=""
-[ "$STATUS" -eq 0 ] || {
-  echo "levyd exited with status $STATUS on SIGTERM:" >&2
-  cat "$WORKDIR/levyd.log" >&2
-  exit 1
-}
+stop_levyd
 echo "shutdown: clean exit on SIGTERM"
+
+# 7. Restart on the same cache directory. With no memory tier every
+#    replay reads the stored .lw entry, so both representations must
+#    report the disk tier and reproduce the cold bytes exactly.
+start_levyd --mem-capacity 0
+for MODE in json wire; do
+  FLAGS=()
+  [ "$MODE" = wire ] && FLAGS=(--wire)
+  "$LEVYC" --addr "$ADDR" query ${FLAGS[@]+"${FLAGS[@]}"} "$QUERY" \
+    >"$WORKDIR/restart-$MODE.json" 2>"$WORKDIR/restart-$MODE.hdr"
+  grep -q '^cache: hit (tier: disk)' "$WORKDIR/restart-$MODE.hdr" || {
+    echo "expected the $MODE replay after a restart to hit the disk tier:" >&2
+    cat "$WORKDIR/restart-$MODE.hdr" >&2; exit 1
+  }
+  cmp -s "$WORKDIR/cold.json" "$WORKDIR/restart-$MODE.json" || {
+    echo "$MODE replay from the disk tier was not byte-identical to the cold body" >&2
+    diff "$WORKDIR/cold.json" "$WORKDIR/restart-$MODE.json" >&2 || true
+    exit 1
+  }
+done
+stop_levyd
+echo "restart: JSON and wire replays hit the disk tier, bodies byte-identical"
 echo "server smoke: PASS"
